@@ -88,14 +88,17 @@ def prime_power_decompose(n: int) -> PrimePowerIndex | None:
 
 
 def _integer_kth_root(n: int, k: int) -> int:
+    """Largest r with r**k <= n, by bisection in integers (no float overflow)."""
     if k == 1:
         return n
-    r = int(round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    lo, hi = 0, 1 << -(-n.bit_length() // k)  # hi**k >= 2**bit_length > n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def factorint(n: int) -> dict[int, int]:

@@ -78,10 +78,18 @@ def _int_matrix(value, field):
     return tuple(tuple(r) for r in value)
 
 
+def _int_array(value, field):
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise SpecError(f"field '{field}' must be an array of integers")
+    return tuple(value)
+
+
 def _matrix_action(doc, typename, group_action):
     actions = _require(doc, "actions", list, typename)
     actions = tuple(_int_matrix(a, f"actions[{i}]") for i, a in enumerate(actions))
-    torsion = tuple(doc.get("torsion", []))
+    torsion = _int_array(doc.get("torsion", []), "torsion")
     if actions and actions[0]:
         size = len(actions[0])
     else:
@@ -108,7 +116,7 @@ def parse_spec(doc) -> GroupDescriptor | MatrixAction | Presented:
     try:
         if typename == "zk_by_z":
             matrix = _int_matrix(_require(doc, "matrix", list, typename), "matrix")
-            torsion = tuple(doc.get("torsion", []))
+            torsion = _int_array(doc.get("torsion", []), "torsion")
             k = len(matrix) - len(torsion)
             return ZkByZ(
                 MatrixAction(
@@ -120,7 +128,7 @@ def parse_spec(doc) -> GroupDescriptor | MatrixAction | Presented:
             return SemidirectFgAbelian(
                 module=module,
                 acting_rank=_require(doc, "acting_rank", int, typename),
-                acting_torsion=tuple(doc.get("acting_torsion", [])),
+                acting_torsion=_int_array(doc.get("acting_torsion", []), "acting_torsion"),
             )
         if typename == "wreath_cyclic":
             return WreathCyclic(m=_require(doc, "m", int, typename))
@@ -138,7 +146,7 @@ def parse_spec(doc) -> GroupDescriptor | MatrixAction | Presented:
                     pair = (int(parts[0]), int(parts[1]))
                 except ValueError as exc:
                     raise SpecError(f"f key {key!r} is not a pair of integers") from exc
-                f_vectors[pair] = tuple(vec)
+                f_vectors[pair] = _int_array(vec, f"f[{key}]")
             return NilpotentGf(ell=ell, f_vectors=f_vectors)
         if typename == "module_matrix":
             return _matrix_action(
@@ -199,7 +207,7 @@ def cmd_table(args) -> int:
     seed = _resolve_seed(args)
     if args.max_n < 2:
         raise SpecError(f"--max-n must be >= 2, got {args.max_n}")
-    report = growth_table(desc, args.max_n, seed=seed)
+    report = growth_table(desc, args.max_n)
     if args.format == "csv":
         lines = ["n,p,k,count,mtriv,mnontriv,exact"]
         for r in report.rows:
@@ -248,7 +256,7 @@ def cmd_mdeg(args) -> int:
     seed = _resolve_seed(args)
     doc = {"seed": seed}
     if isinstance(desc, (ZkByZ, SemidirectFgAbelian, WreathCyclic, NilpotentGf)):
-        result = mdeg(desc, seed=seed)
+        result = mdeg(desc)
         doc["mdeg"] = result.value
         doc["provenance"] = result.provenance
         doc["exactness"] = result.exactness
@@ -297,7 +305,7 @@ def cmd_growth_type(args) -> int:
 
 def cmd_check(args) -> int:
     desc = load_spec(args.spec)
-    seed = _resolve_seed(args)
+    _resolve_seed(args)  # a malformed GROWTHLAB_SEED is a spec error here too
     if isinstance(desc, WreathCyclic):
         desc = desc.expand()
     if isinstance(desc, (ZkByZ, SemidirectFgAbelian)):
@@ -322,7 +330,7 @@ def cmd_check(args) -> int:
         except OracleBoundError:
             lines.append(f"n={n}: skipped (p^dim > {SUBSPACE_STATE_BOUND})")
             continue
-        got = count_max_submodules(module, n, seed)
+        got = count_max_submodules(module, n)
         checked += 1
         if got == want:
             lines.append(f"n={n}: ok (engine={got} oracle={want})")
@@ -355,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="path to a JSON spec file")
         p.add_argument(
             "--seed", type=lambda s: int(s, 0), default=None,
-            help="engine seed (default GROWTHLAB_SEED or 0xC0FFEE)",
+            help="echoed in JSON output; counts do not depend on it "
+            "(default GROWTHLAB_SEED or 0xC0FFEE)",
         )
         if needs_max_n:
             p.add_argument("--max-n", type=int, required=True, help="largest index")

@@ -30,7 +30,7 @@ from .modules import (
     module_invariants,
     split_triv_nontriv,
 )
-from .poly import DEFAULT_SEED, QQ, PrimeField
+from .poly import QQ, PrimeField
 
 
 def _pairs(ell):
@@ -229,7 +229,7 @@ def der_count(acting_rank: int, acting_torsion, s_size: int, trivial: bool) -> i
     return s_size
 
 
-def max_subgroups(g: GroupDescriptor, n: int, seed: int = DEFAULT_SEED) -> int:
+def max_subgroups(g: GroupDescriptor, n: int) -> int:
     """Number of maximal subgroups of index n (0 off prime powers)."""
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
@@ -239,9 +239,9 @@ def max_subgroups(g: GroupDescriptor, n: int, seed: int = DEFAULT_SEED) -> int:
     if isinstance(g, WreathCyclic):
         g = g.expand()
     if isinstance(g, ZkByZ):
-        return (1 if pp.k == 1 else 0) + n * count_max_submodules(g.module, n, seed)
+        return (1 if pp.k == 1 else 0) + n * count_max_submodules(g.module, n)
     if isinstance(g, SemidirectFgAbelian):
-        mtriv, mnontriv = split_triv_nontriv(g.module, n, seed)
+        mtriv, mnontriv = split_triv_nontriv(g.module, n)
         if pp.k == 1:
             p = pp.p
             hom = der_count(g.acting_rank, g.acting_torsion, p, trivial=True)
@@ -259,15 +259,15 @@ def max_subgroups(g: GroupDescriptor, n: int, seed: int = DEFAULT_SEED) -> int:
     raise ValueError(f"unsupported descriptor {type(g).__name__}")
 
 
-def mdeg(g: GroupDescriptor, window: int = 3, seed: int = DEFAULT_SEED) -> MdegValue:
+def mdeg(g: GroupDescriptor, window: int = 3) -> MdegValue:
     """Degree of polynomial growth of n -> max_subgroups(g, n)."""
     if isinstance(g, WreathCyclic):
         g = g.expand()
     if isinstance(g, ZkByZ):
-        inv = module_invariants(g.module, window, seed)
+        inv = module_invariants(g.module, window)
         return MdegValue(value=inv.d, provenance="exact-theorem", exactness="exact")
     if isinstance(g, SemidirectFgAbelian):
-        inv = module_invariants(g.module, window, seed)
+        inv = module_invariants(g.module, window)
         prov = "exact-theorem" if inv.provenance == "exact" else "window-stabilized"
         ell = g.acting_rank
         if ell >= 1:
@@ -296,9 +296,7 @@ def asymptotic_leading(g: GroupDescriptor) -> tuple[int, int]:
     return (inv.rho[0], inv.d)
 
 
-def growth_table(
-    g, n_max: int, window: int = 3, seed: int = DEFAULT_SEED
-) -> GrowthReport:
+def growth_table(g, n_max: int, window: int = 3) -> GrowthReport:
     """Rows for every prime power n <= n_max, with group/module metadata."""
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -310,21 +308,21 @@ def growth_table(
         if pp is None:
             continue
         if is_group:
-            count = max_subgroups(expanded, n, seed)
+            count = max_subgroups(expanded, n)
             if isinstance(expanded, NilpotentGf):
                 mtriv, mnontriv = count, 0
             else:
-                mtriv, mnontriv = split_triv_nontriv(expanded.module, n, seed)
+                mtriv, mnontriv = split_triv_nontriv(expanded.module, n)
         else:
-            count = count_max_submodules(g, n, seed)
-            mtriv, mnontriv = split_triv_nontriv(g, n, seed)
+            count = count_max_submodules(g, n)
+            mtriv, mnontriv = split_triv_nontriv(g, n)
         rows.append(
             GrowthRow(
                 n=n, p=pp.p, k=pp.k, count=count,
                 mtriv=mtriv, mnontriv=mnontriv, exact=True,
             )
         )
-    mdeg_val = mdeg(expanded, window, seed) if is_group else None
+    mdeg_val = mdeg(expanded, window) if is_group else None
     asym = asymptotic_leading(expanded) if isinstance(expanded, ZkByZ) else None
     gtype = growth_type_classify(g) if isinstance(g, Presented) else None
     exactness = mdeg_val.exactness if mdeg_val else "exact"

@@ -82,10 +82,6 @@ def mat_apply(F, A, v):
     return out
 
 
-def mat_from_int(F, A):
-    return [[F.from_int(a) for a in row] for row in A]
-
-
 def poly_of_matrix(F, f, A):
     """f(A) for a square matrix A."""
     n = len(A)
@@ -98,6 +94,18 @@ def poly_of_matrix(F, f, A):
                     out[r][s] = F.add(out[r][s], F.mul(c, power[r][s]))
         if i < len(f) - 1:
             power = mat_mul(F, power, A)
+    return out
+
+
+def mat_pow(F, A, e):
+    """A**e for a square matrix A and e >= 0, by binary exponentiation."""
+    out = identity_matrix(F, len(A))
+    while e:
+        if e & 1:
+            out = mat_mul(F, out, A)
+        e >>= 1
+        if e:
+            A = mat_mul(F, A, A)
     return out
 
 

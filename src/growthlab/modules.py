@@ -13,19 +13,16 @@ ideals with residue field of the right size q = p^k.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .arith import factorint, is_prime, prime_power_decompose, primes_up_to
+from .arith import factorint, is_prime, prime_power_decompose
 from .linalg import (
     identity_matrix,
-    image_basis,
     kernel_basis,
     mat_apply,
-    mat_from_int,
     mat_mul,
+    mat_pow,
     mat_sub,
     min_poly_of_matrix,
     poly_of_matrix,
@@ -38,7 +35,6 @@ from .linalg import (
     x_minus_matrix,
 )
 from .poly import (
-    DEFAULT_SEED,
     QQ,
     PrimeField,
     count_irreducibles,
@@ -49,11 +45,6 @@ from .poly import (
     pmod,
     pnormalize,
 )
-
-# exhaustive algebra scan is used below this many elements; above it, leaf
-# acceptance is randomized with failure probability <= 2**-T per leaf
-EXHAUSTIVE_ALGEBRA_LIMIT = 2 ** 10
-
 
 def _as_matrix_tuple(m):
     return tuple(tuple(int(x) for x in row) for row in m)
@@ -67,24 +58,10 @@ def _int_mat_mul(A, B):
     )
 
 
-def _int_det(A):
-    n = len(A)
-    if n == 0:
-        return 1
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # compute permutation sign by counting inversions
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j]
-        )
-        sign = -1 if inv % 2 else 1
-        term = sign
-        for i in range(n):
-            term *= A[i][perm[i]]
-        total += term
-    return total
+def _abs_det(A):
+    """|det A| of a square integer matrix, from its Smith normal form."""
+    snf = smith_normal_form_int(A, ncols=len(A))
+    return math.prod(snf.diagonal) if snf.rank == len(A) else 0
 
 
 @dataclass(frozen=True)
@@ -149,7 +126,7 @@ class MatrixAction:
     def _check_automorphism(self, a, idx):
         k = self.k
         free_block = [row[:k] for row in a[:k]]
-        if k and abs(_int_det(free_block)) != 1:
+        if k and _abs_det(free_block) != 1:
             raise ValueError(
                 f"actions[{idx}] is not invertible on the free part (group_action)"
             )
@@ -355,10 +332,7 @@ def _split_by_operator(F, mats, dim, S):
         return None
     pieces = []
     for g, mult in fac.factors:
-        P = poly_of_matrix(F, list(g), S)
-        Q = P
-        for _ in range(mult - 1):
-            Q = mat_mul(F, Q, P)
+        Q = mat_pow(F, poly_of_matrix(F, list(g), S), mult)
         basis = kernel_basis(F, Q, dim)
         sub = [_restrict(F, list(map(list, M)), basis, dim) for M in mats]
         pieces.append((sub, len(basis)))
@@ -411,60 +385,61 @@ def _leaf_entry(F, mats, dim):
     return SpectrumEntry(e=e, s=qdim // e, component_dim=dim)
 
 
-def _spectrum_of_component(F, mats, dim, rng, out):
+def _frobenius_fixed_space(F, alg, dim):
+    """Basis of {x : x^p = x} in the commutative algebra with basis `alg`.
+
+    x -> x^p is F_p-linear on a commutative F_p-algebra, and its fixed space
+    has one dimension per maximal ideal (Berlekamp 1967).  The flattenings
+    of `alg` are in reduced echelon form, so an element's coordinates are its
+    entries at their pivots.
+    """
+    adim = len(alg)
+    pivots = [next((r, c) for r in range(dim) for c in range(dim) if b[r][c]) for b in alg]
+    frob = [mat_pow(F, b, F.p) for b in alg]
+    # column t holds the coordinates of b_t^p - b_t
+    phi_minus_one = [
+        [F.sub(frob[t][r][c], F.one if i == t else F.zero) for t in range(adim)]
+        for i, (r, c) in enumerate(pivots)
+    ]
+    return [
+        [
+            [sum(v[t] * alg[t][r][c] for t in range(adim)) % F.p for c in range(dim)]
+            for r in range(dim)
+        ]
+        for v in kernel_basis(F, phi_minus_one, adim)
+    ]
+
+
+def _spectrum_of_component(F, mats, dim, out):
     if dim == 0:
         return
     # split along each generator's min-poly factorization first
     for M in mats:
         pieces = _split_by_operator(F, mats, dim, M)
         if pieces:
-            for sub, sdim in pieces:
-                _spectrum_of_component(F, sub, sdim, rng, out)
+            break
+    else:
+        fixed = _frobenius_fixed_space(F, _algebra_basis(F, mats, dim), dim)
+        if len(fixed) == 1:
+            out.append(_leaf_entry(F, mats, dim))
             return
-    alg = _algebra_basis(F, mats, dim)
-    adim = len(alg)
-    p = F.p
-    if adim > 1 and p ** adim <= EXHAUSTIVE_ALGEBRA_LIMIT:
-        for coeffs in itertools.product(range(p), repeat=adim):
-            if all(c == 0 for c in coeffs):
-                continue
-            S = [
-                [
-                    sum(F.mul(F.from_int(c), alg[t][i][j]) for t, c in enumerate(coeffs)) % p
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ]
+        # at most one fixed basis element is scalar; any other has a
+        # squarefree min poly dividing x^p - x, so it splits
+        for S in fixed:
             pieces = _split_by_operator(F, mats, dim, S)
             if pieces:
-                for sub, sdim in pieces:
-                    _spectrum_of_component(F, sub, sdim, rng, out)
-                return
-    elif adim > 1:
-        budget = 40 + 2 * adim
-        fails = 0
-        while fails < budget:
-            coeffs = [rng.randrange(p) for _ in range(adim)]
-            if all(c == 0 for c in coeffs):
-                continue
-            S = [
-                [
-                    sum(c * alg[t][i][j] for t, c in enumerate(coeffs)) % p
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ]
-            pieces = _split_by_operator(F, mats, dim, S)
-            if pieces:
-                for sub, sdim in pieces:
-                    _spectrum_of_component(F, sub, sdim, rng, out)
-                return
-            fails += 1
-    out.append(_leaf_entry(F, mats, dim))
+                break
+        else:
+            raise RuntimeError(
+                f"Frobenius fixed space has dimension {len(fixed)} but no "
+                "fixed element splits the fiber algebra"
+            )
+    for sub, sdim in pieces:
+        _spectrum_of_component(F, sub, sdim, out)
 
 
 @functools.lru_cache(maxsize=None)
-def joint_spectrum(fiber: FiberModule, seed: int = DEFAULT_SEED) -> tuple[SpectrumEntry, ...]:
+def joint_spectrum(fiber: FiberModule) -> tuple[SpectrumEntry, ...]:
     """Maximal ideals of the algebra generated by the fiber actions.
 
     Each entry (e, s, component_dim) contributes (q^s - 1)/(q - 1) maximal
@@ -472,16 +447,15 @@ def joint_spectrum(fiber: FiberModule, seed: int = DEFAULT_SEED) -> tuple[Spectr
     """
     F = PrimeField(fiber.p)
     mats = [list(map(list, a)) for a in fiber.actions]
-    rng = random.Random(seed * 1000003 + fiber.p)
     out: list[SpectrumEntry] = []
-    _spectrum_of_component(F, mats, fiber.dim, rng, out)
+    _spectrum_of_component(F, mats, fiber.dim, out)
     return tuple(sorted(out, key=lambda s: (s.e, s.s, s.component_dim)))
 
 
 # -- counting ------------------------------------------------------------------
 
 
-def count_max_submodules(m: ModuleDescriptor, n: int, seed: int = DEFAULT_SEED) -> int:
+def count_max_submodules(m: ModuleDescriptor, n: int) -> int:
     """Number of maximal submodules of index n; 0 off prime powers."""
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
@@ -495,7 +469,7 @@ def count_max_submodules(m: ModuleDescriptor, n: int, seed: int = DEFAULT_SEED) 
         )
     fib = fiber_mod_p(m, pp.p)
     total = 0
-    for entry in joint_spectrum(fib, seed):
+    for entry in joint_spectrum(fib):
         if entry.e == pp.k:
             q = n
             total += (q ** entry.s - 1) // (q - 1)
@@ -531,10 +505,10 @@ def chain_count(invariant_factors, free_rank: int, n: int) -> int:
     return total
 
 
-def split_triv_nontriv(m: ModuleDescriptor, n: int, seed: int = DEFAULT_SEED) -> tuple[int, int]:
+def split_triv_nontriv(m: ModuleDescriptor, n: int) -> tuple[int, int]:
     """(mtriv, mnontriv): maximal submodules whose simple quotient carries a
     trivial / nontrivial action.  Trivial quotients exist only at prime n."""
-    total = count_max_submodules(m, n, seed)
+    total = count_max_submodules(m, n)
     pp = prime_power_decompose(n)
     if pp is None or pp.k != 1:
         return 0, total
@@ -573,16 +547,15 @@ def bad_prime_ledger_module(m: ModuleDescriptor) -> frozenset[int]:
     for t in m.torsion:
         bad.update(factorint(t))
     for blk in m.free_blocks():
-        det = _int_det([list(r) for r in blk])
-        if det not in (0,):
-            if abs(det) > 1:
-                bad.update(factorint(abs(det)))
+        det = _abs_det(blk)
+        if det > 1:
+            bad.update(factorint(det))
         snf = smith_normal_form_poly(QQ, x_minus_matrix(QQ, [list(r) for r in blk]), ncols=m.k)
         bad.update(snf.bad_primes)
     return frozenset(bad)
 
 
-def module_invariants(m: ModuleDescriptor, window: int = 3, seed: int = DEFAULT_SEED) -> ModuleInvariants:
+def module_invariants(m: ModuleDescriptor, window: int = 3) -> ModuleInvariants:
     if isinstance(m, Presented):
         rows_q = [[[*e] for e in row] for row in m.relations]
         snf = smith_normal_form_poly(QQ, rows_q, ncols=len(rows_q[0]) if rows_q else 0)
@@ -619,7 +592,7 @@ def module_invariants(m: ModuleDescriptor, window: int = 3, seed: int = DEFAULT_
     p = 2
     while len(ds) < window:
         if is_prime(p) and p not in bad:
-            spec = joint_spectrum(fiber_mod_p(m, p), seed)
+            spec = joint_spectrum(fiber_mod_p(m, p))
             ds.append(max((e.s for e in spec), default=0))
         p += 1
     if len(set(ds)) > 1:

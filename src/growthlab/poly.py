@@ -217,11 +217,6 @@ def gcd_over_field(F, a, b):
     return pmonic(F, a)
 
 
-def plcm(F, a, b):
-    g = gcd_over_field(F, a, b)
-    return pmonic(F, pdivmod(F, pmul(F, a, b), g)[0])
-
-
 # -- integer polynomials ------------------------------------------------------
 
 
@@ -238,14 +233,6 @@ def content_and_primitive(f: list[int]) -> tuple[int, list[int]]:
 
 def int_poly_to_field(F, f):
     return pnormalize([F.from_int(c) for c in f])
-
-
-def rationals_to_int_poly(f) -> list[int]:
-    """Clear denominators of a Q-polynomial; returns an integer polynomial."""
-    den = 1
-    for c in f:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in f]
 
 
 def resultant_with_derivative(f: list[int]) -> int:

@@ -10,6 +10,8 @@ from growthlab.arith import (
     prime_power_decompose,
     primes_up_to,
 )
+from growthlab.modules import MatrixAction, Presented, count_max_submodules
+from growthlab.poly import count_irreducibles
 
 
 def test_is_prime_small():
@@ -29,6 +31,16 @@ def test_prime_power_decompose_examples():
     assert prime_power_decompose(6) is None
     assert prime_power_decompose(12) is None
     assert prime_power_decompose(100) is None
+
+
+def test_huge_indices():
+    # past float range: roots must be taken in integers
+    assert prime_power_decompose(2 ** 1100) == PrimePowerIndex(2 ** 1100, 2, 1100)
+    assert prime_power_decompose(3 ** 700 * 5) is None
+    trivial = MatrixAction(k=1, torsion=(), actions=(((1,),),))
+    assert count_max_submodules(trivial, 2 ** 1100) == 0
+    zx = Presented(gens=1, relations=())
+    assert count_max_submodules(zx, 2 ** 1100) == count_irreducibles(2, 1100)
 
 
 def test_prime_power_decompose_rejects_small():

@@ -150,6 +150,23 @@ def test_bad_spec_exit2(tmp_path, capsys):
     assert code2 == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "zk_by_z", "matrix": [[1]], "torsion": 5},
+        {"type": "semidirect", "acting_rank": 1, "actions": [[[1]]], "torsion": 5},
+        {"type": "module_matrix", "actions": [[[1]]], "torsion": 5},
+        {"type": "semidirect", "acting_rank": 0, "actions": [[[1]]], "acting_torsion": 3},
+        {"type": "nilpotent_gf", "ell": 2, "f": {"1,2": 3}},
+    ],
+)
+def test_integer_array_fields_exit2(tmp_path, capsys, doc):
+    code, out, err = _run(["table", _spec(tmp_path, doc), "--max-n", "5"], capsys)
+    assert code == 2
+    assert err.startswith("spec error: field ") and "must be an array of integers" in err
+    assert out == ""
+
+
 def test_irreducibles(capsys):
     code, out, _ = _run(["irreducibles", "--p", "2", "--k", "4"], capsys)
     assert code == 0

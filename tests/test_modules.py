@@ -8,6 +8,7 @@ from growthlab.modules import (
     MatrixAction,
     Presented,
     PresentedFiber,
+    SpectrumEntry,
     bad_prime_ledger_module,
     chain_count,
     count_max_submodules,
@@ -18,7 +19,7 @@ from growthlab.modules import (
     split_triv_nontriv,
 )
 from growthlab.oracle import oracle_count_max_submodules
-from growthlab.poly import parse_poly
+from growthlab.poly import factor_mod_p, parse_poly
 
 
 def _ma(k, actions, torsion=(), group_action=False):
@@ -216,8 +217,41 @@ def test_bad_prime_ledger_module():
     assert {2, 3} <= ledger
 
 
+def _block_diag(A, B):
+    n, m = len(A), len(B)
+    return [list(r) + [0] * m for r in A] + [[0] * n + list(r) for r in B]
+
+
+C = [[0, -1], [1, -1]]  # companion of x^2 + x + 1
+C_SQUARED = [[-1, 1], [-1, 0]]  # -C - I
+
+
+@pytest.mark.parametrize("p", [11, 1_000_000_007])
+def test_non_local_algebra_with_primary_generators(p):
+    # x^2 + x + 1 is irreducible mod p (p = 2 mod 3), so C (+) C and
+    # C (+) C^2 are each primary, but their joint algebra is F_{p^2} x F_{p^2};
+    # at p = 11 it has p^4 = 14641 elements, past any small exhaustive scan
+    m = _ma(4, [_block_diag(C, C), _block_diag(C, C_SQUARED)])
+    assert joint_spectrum(fiber_mod_p(m, p)) == (SpectrumEntry(2, 1, 2),) * 2
+    assert count_max_submodules(m, p * p) == 2
+
+
+def test_local_field_near_2_61():
+    p = 2 ** 61 - 1
+    assert factor_mod_p([2, 2, 0, 1], p).factors == (((2, 2, 0, 1), 1),)
+    C3 = [[0, 0, -2], [1, 0, -2], [0, 1, 0]]  # companion of x^3 + 2x + 2
+    C3_SQUARED_PLUS_ONE = [[1, -2, 0], [0, -1, -2], [1, 0, -1]]
+    m = _ma(3, [C3, C3_SQUARED_PLUS_ONE])
+    assert joint_spectrum(fiber_mod_p(m, p)) == (SpectrumEntry(3, 1, 3),)
+    assert count_max_submodules(m, p ** 3) == 1
+
+
 def test_determinism():
-    f = fiber_mod_p(_ma(3, [CYCLE3], group_action=True), 2)
-    a = joint_spectrum(f, seed=123)
-    b = joint_spectrum(f, seed=123)
+    # a non-local algebra at a large prime: the Frobenius splitter's min poly
+    # is factored by randomized Cantor-Zassenhaus
+    f = fiber_mod_p(_ma(4, [_block_diag(C, C), _block_diag(C, C_SQUARED)]), 1_000_000_007)
+    a = joint_spectrum(f)
+    joint_spectrum.cache_clear()
+    b = joint_spectrum(f)
+    assert joint_spectrum.cache_info().misses == 1
     assert a == b
