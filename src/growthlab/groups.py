@@ -14,27 +14,25 @@ derivation count.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .arith import is_prime, prime_power_decompose
-from .linalg import rank as mat_rank
+from .arith import is_prime, prime_power_decompose, primes_up_to
+from .linalg import mat_pow, rank as mat_rank
 from .modules import (
     MatrixAction,
-    ModuleDescriptor,
-    ModuleInvariants,
     Presented,
     GrowthType,
-    count_max_submodules,
+    PrimeProfile,
+    SpectrumEntry,
     growth_type_classify,
     module_invariants,
-    split_triv_nontriv,
+    prime_profile,
 )
 from .poly import QQ, PrimeField
 
-
-def _pairs(ell):
-    return list(itertools.combinations(range(1, ell + 1), 2))
+# Largest ell accepted by NilpotentGf: its center has C(ell, 2) generators,
+# and counts at p are powers p^(ell + C(ell, 2) - rank).
+MAX_NILPOTENT_ELL = 64
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class SemidirectFgAbelian:
             raise ValueError("semidirect actions must be group actions")
         for i, order in enumerate(self.acting_torsion):
             a = self.module.actions[self.acting_rank + i]
-            if not self._is_identity_endo(_int_pow(a, order)):
+            if not self._is_identity_endo(mat_pow(QQ, a, order)):
                 raise ValueError(
                     f"acting torsion generator {i} has order {order} but its "
                     "action matrix does not"
@@ -101,24 +99,6 @@ class SemidirectFgAbelian:
                 elif diff % tors[r - k]:
                     return False
         return True
-
-
-def _int_pow(a, e):
-    n = len(a)
-    out = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    base = tuple(tuple(row) for row in a)
-    while e:
-        if e & 1:
-            out = tuple(
-                tuple(sum(out[i][t] * base[t][j] for t in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        base = tuple(
-            tuple(sum(base[i][t] * base[t][j] for t in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        e >>= 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -154,6 +134,8 @@ class NilpotentGf:
     def __post_init__(self):
         if self.ell < 2:
             raise ValueError("ell must be >= 2")
+        if self.ell > MAX_NILPOTENT_ELL:
+            raise ValueError(f"ell must be <= {MAX_NILPOTENT_ELL}, got {self.ell}")
         k = self.ell * (self.ell - 1) // 2
         canon = []
         seen = set()
@@ -180,9 +162,11 @@ class NilpotentGf:
     def k(self) -> int:
         return self.ell * (self.ell - 1) // 2
 
-    def f_matrix(self):
-        lookup = dict(self.f_vectors)
-        return [list(lookup.get(pair, (0,) * self.k)) for pair in _pairs(self.ell)]
+    def abelian_rank(self, F) -> int:
+        """Rank over F of G/[G, G] (x) F: ell + C(ell,2) minus the rank of the
+        f vectors (the pairs not given are zero)."""
+        fm = [[F.from_int(x) for x in vec] for _, vec in self.f_vectors]
+        return self.ell + self.k - mat_rank(F, fm, self.k)
 
 
 GroupDescriptor = ZkByZ | SemidirectFgAbelian | WreathCyclic | NilpotentGf
@@ -229,34 +213,44 @@ def der_count(acting_rank: int, acting_torsion, s_size: int, trivial: bool) -> i
     return s_size
 
 
+def _profile(g, p: int) -> PrimeProfile:
+    """Per-prime data of g's module.  For NilpotentGf, whose maximal
+    subgroups are the hyperplanes of the F_p-space G/G^p[G,G], it is that
+    space as a module with trivial action."""
+    if isinstance(g, NilpotentGf):
+        u = g.abelian_rank(PrimeField(p))
+        return PrimeProfile(
+            p=p, entries=(SpectrumEntry(e=1, s=u, component_dim=u),),
+            generic_rank=0, trivial_rank=u,
+        )
+    if isinstance(g, (ZkByZ, SemidirectFgAbelian)):
+        return prime_profile(g.module, p)
+    raise ValueError(f"unsupported descriptor {type(g).__name__}")
+
+
+def _group_count(g, profile: PrimeProfile, k: int) -> int:
+    """Maximal subgroups of index p^k of g, read from the profile at p."""
+    p = profile.p
+    if isinstance(g, ZkByZ):
+        return (1 if k == 1 else 0) + p ** k * profile.count(k)
+    if isinstance(g, SemidirectFgAbelian):
+        mtriv, mnontriv = profile.split(k)
+        if k == 1:
+            hom = der_count(g.acting_rank, g.acting_torsion, p, trivial=True)
+            m_acting = (hom - 1) // (p - 1)
+            return m_acting + hom * mtriv + p * mnontriv
+        return p ** k * mnontriv
+    return profile.count(k)
+
+
 def max_subgroups(g: GroupDescriptor, n: int) -> int:
     """Number of maximal subgroups of index n (0 off prime powers)."""
-    if n < 2:
-        raise ValueError(f"index must be >= 2, got {n}")
     pp = prime_power_decompose(n)
     if pp is None:
         return 0
     if isinstance(g, WreathCyclic):
         g = g.expand()
-    if isinstance(g, ZkByZ):
-        return (1 if pp.k == 1 else 0) + n * count_max_submodules(g.module, n)
-    if isinstance(g, SemidirectFgAbelian):
-        mtriv, mnontriv = split_triv_nontriv(g.module, n)
-        if pp.k == 1:
-            p = pp.p
-            hom = der_count(g.acting_rank, g.acting_torsion, p, trivial=True)
-            m_acting = (hom - 1) // (p - 1)
-            return m_acting + hom * mtriv + p * mnontriv
-        return n * mnontriv
-    if isinstance(g, NilpotentGf):
-        if pp.k != 1:
-            return 0
-        p = pp.p
-        F = PrimeField(p)
-        fm = [[F.from_int(x) for x in row] for row in g.f_matrix()]
-        u = g.ell + g.k - mat_rank(F, fm, g.k)
-        return (p ** u - 1) // (p - 1)
-    raise ValueError(f"unsupported descriptor {type(g).__name__}")
+    return _group_count(g, _profile(g, pp.p), pp.k)
 
 
 def mdeg(g: GroupDescriptor, window: int = 3) -> MdegValue:
@@ -279,9 +273,9 @@ def mdeg(g: GroupDescriptor, window: int = 3) -> MdegValue:
             value=max(inv.t - 1, inv.d), provenance=prov, exactness="upper-bound"
         )
     if isinstance(g, NilpotentGf):
-        fm = [[QQ.from_int(x) for x in row] for row in g.f_matrix()]
-        r = g.ell + g.k - mat_rank(QQ, fm, g.k)
-        return MdegValue(value=r - 1, provenance="exact-theorem", exactness="exact")
+        return MdegValue(
+            value=g.abelian_rank(QQ) - 1, provenance="exact-theorem", exactness="exact"
+        )
     raise ValueError(f"unsupported descriptor {type(g).__name__}")
 
 
@@ -297,31 +291,30 @@ def asymptotic_leading(g: GroupDescriptor) -> tuple[int, int]:
 
 
 def growth_table(g, n_max: int, window: int = 3) -> GrowthReport:
-    """Rows for every prime power n <= n_max, with group/module metadata."""
+    """Rows for every prime power n <= n_max, with group/module metadata.
+
+    The fiber at each prime p <= n_max is reduced once, into the profile
+    that the rows at p, p^2, ... are read from.
+    """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     is_group = isinstance(g, (ZkByZ, SemidirectFgAbelian, WreathCyclic, NilpotentGf))
     expanded = g.expand() if isinstance(g, WreathCyclic) else g
     rows = []
-    for n in range(2, n_max + 1):
-        pp = prime_power_decompose(n)
-        if pp is None:
-            continue
-        if is_group:
-            count = max_subgroups(expanded, n)
-            if isinstance(expanded, NilpotentGf):
-                mtriv, mnontriv = count, 0
-            else:
-                mtriv, mnontriv = split_triv_nontriv(expanded.module, n)
-        else:
-            count = count_max_submodules(g, n)
-            mtriv, mnontriv = split_triv_nontriv(g, n)
-        rows.append(
-            GrowthRow(
-                n=n, p=pp.p, k=pp.k, count=count,
-                mtriv=mtriv, mnontriv=mnontriv, exact=True,
+    for p in primes_up_to(n_max):
+        profile = _profile(expanded, p) if is_group else prime_profile(g, p)
+        n, k = p, 1
+        while n <= n_max:
+            count = _group_count(expanded, profile, k) if is_group else profile.count(k)
+            mtriv, mnontriv = profile.split(k)
+            rows.append(
+                GrowthRow(
+                    n=n, p=p, k=k, count=count,
+                    mtriv=mtriv, mnontriv=mnontriv, exact=True,
+                )
             )
-        )
+            n, k = n * p, k + 1
+    rows.sort(key=lambda r: r.n)
     mdeg_val = mdeg(expanded, window) if is_group else None
     asym = asymptotic_leading(expanded) if isinstance(expanded, ZkByZ) else None
     gtype = growth_type_classify(g) if isinstance(g, Presented) else None

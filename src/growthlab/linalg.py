@@ -2,7 +2,7 @@
 form over Z and over F[x] (F = Q or F_p), minimal polynomials.
 
 Matrices are lists of rows.  Vectors are column vectors: A maps x to A@x,
-so `kernel_basis` solves A x = 0 and `image_basis` spans the column space.
+so `kernel_basis` solves A x = 0.
 Empty (0-row or 0-column) matrices are legal; pass `ncols` explicitly when
 there are no rows to infer it from.
 """
@@ -155,14 +155,6 @@ def kernel_basis(F, rows, ncols=None):
     return basis
 
 
-def image_basis(F, rows, ncols=None):
-    """Basis of the column space, in reduced echelon coordinates."""
-    m, n = _shape(rows, ncols)
-    cols = [[rows[i][j] for i in range(m)] for j in range(n)]
-    R, pivots = rref(F, cols, m)
-    return [R[i] for i in range(len(pivots))]
-
-
 def row_space_basis(F, rows, ncols=None):
     R, pivots = rref(F, rows, ncols)
     return [R[i] for i in range(len(pivots))]
@@ -181,26 +173,6 @@ def solve(F, rows, b, ncols=None):
     for r, pc in enumerate(pivots):
         x[pc] = R[r][n]
     return x
-
-
-def subspace_sum(F, basis_a, basis_b, ambient_dim):
-    return row_space_basis(F, list(basis_a) + list(basis_b), ambient_dim)
-
-
-def subspace_intersection(F, basis_a, basis_b, ambient_dim):
-    """Intersection via the kernel of the stacked coefficient matrix."""
-    if not basis_a or not basis_b:
-        return []
-    cols = [list(v) for v in basis_a] + [[F.neg(x) for x in v] for v in basis_b]
-    stacked = [[cols[j][i] for j in range(len(cols))] for i in range(ambient_dim)]
-    out = []
-    for coeffs in kernel_basis(F, stacked, len(cols)):
-        v = [F.zero] * ambient_dim
-        for c, vec in zip(coeffs[: len(basis_a)], basis_a):
-            for i in range(ambient_dim):
-                v[i] = F.add(v[i], F.mul(c, vec[i]))
-        out.append(v)
-    return row_space_basis(F, out, ambient_dim)
 
 
 def min_poly_of_vector(F, A, v):

@@ -7,7 +7,8 @@ matrix over Z[x] (Presented).  Every maximal submodule of p-power index
 contains pN, so counting happens in the fiber N/pN: split the fiber into
 primary components of the commuting algebra, read off the residue degree e
 and multiplicity s at each maximal ideal, and sum (q^s - 1)/(q - 1) over the
-ideals with residue field of the right size q = p^k.
+ideals with residue field of the right size q = p^k.  The per-prime data is
+one PrimeProfile, which every count at the powers of p is read from.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .linalg import (
     mat_apply,
     mat_mul,
     mat_pow,
-    mat_sub,
     min_poly_of_matrix,
     poly_of_matrix,
     rank,
@@ -42,20 +42,14 @@ from .poly import (
     factor_mod_p,
     int_poly_to_field,
     pdeg,
+    pdivmod,
+    peval,
     pmod,
     pnormalize,
 )
 
 def _as_matrix_tuple(m):
     return tuple(tuple(int(x) for x in row) for row in m)
-
-
-def _int_mat_mul(A, B):
-    n = len(B)
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(n)) for j in range(len(B[0])))
-        for i in range(len(A))
-    )
 
 
 def _abs_det(A):
@@ -96,9 +90,8 @@ class MatrixAction:
                 )
         for i in range(len(self.actions)):
             for j in range(i + 1, len(self.actions)):
-                if dim and _int_mat_mul(self.actions[i], self.actions[j]) != _int_mat_mul(
-                    self.actions[j], self.actions[i]
-                ):
+                A, B = self.actions[i], self.actions[j]
+                if dim and mat_mul(QQ, A, B) != mat_mul(QQ, B, A):
                     raise ValueError(
                         f"actions[{i}] and actions[{j}] do not commute"
                     )
@@ -215,7 +208,7 @@ class PresentedFiber:
     free_rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SpectrumEntry:
     """One maximal ideal of the fiber algebra: residue field F_{p^e},
     multiplicity s, dimension of the primary component it came from."""
@@ -449,7 +442,102 @@ def joint_spectrum(fiber: FiberModule) -> tuple[SpectrumEntry, ...]:
     mats = [list(map(list, a)) for a in fiber.actions]
     out: list[SpectrumEntry] = []
     _spectrum_of_component(F, mats, fiber.dim, out)
-    return tuple(sorted(out, key=lambda s: (s.e, s.s, s.component_dim)))
+    return tuple(sorted(out))
+
+
+# -- per-prime profile -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PrimeProfile:
+    """Everything the counts at the powers of p are read from.
+
+    `entries` are the simple quotients of the fiber N/pN, residue degree e
+    and multiplicity s each.  Every monic irreducible of F_p[x] not among
+    them has multiplicity `generic_rank` (the free rank of a Presented fiber,
+    0 for a MatrixAction).  `trivial_rank` is t_p, the multiplicity of the
+    trivial simple quotient F_p.
+    """
+
+    p: int
+    entries: tuple[SpectrumEntry, ...]
+    generic_rank: int
+    trivial_rank: int
+
+    def count(self, k: int) -> int:
+        """Maximal submodules of index q = p^k: (q^s - 1)/(q - 1) per simple
+        quotient of residue degree k."""
+        q = self.p ** k
+        listed = [entry.s for entry in self.entries if entry.e == k]
+        total = sum((q ** s - 1) // (q - 1) for s in listed)
+        if self.generic_rank:
+            generic = count_irreducibles(self.p, k) - len(listed)
+            total += generic * ((q ** self.generic_rank - 1) // (q - 1))
+        return total
+
+    def split(self, k: int) -> tuple[int, int]:
+        """(mtriv, mnontriv): count(k) split by whether the simple quotient
+        carries the trivial action.  Trivial quotients exist only at k = 1."""
+        total = self.count(k)
+        if k != 1:
+            return 0, total
+        mtriv = (self.p ** self.trivial_rank - 1) // (self.p - 1)
+        return mtriv, total - mtriv
+
+
+def _valuation(F, b, g):
+    """Multiplicity of g in a nonzero b."""
+    v = 0
+    while True:
+        quo, rem = pdivmod(F, b, g)
+        if rem:
+            return v
+        b, v = quo, v + 1
+
+
+def _chain_profile(p, factors, free_rank):
+    """Profile of (+)_j F_p[x]/(b_j) (+) F_p[x]^free_rank, b_1 | ... | b_t.
+
+    Every irreducible g dividing some b_j divides b_t, so factoring b_t alone
+    finds them; g has multiplicity free_rank + #{j : g | b_j}.  An entry's
+    component_dim is the dimension of the g-primary part of the torsion.
+    The power of g in b_t comes with the factorization; only the smaller
+    b_j are divided by g.
+    """
+    F = PrimeField(p)
+    entries = []
+    if factors:
+        for g, power in factor_mod_p(factors[-1], p).factors:
+            vals = [_valuation(F, b, list(g)) for b in factors[:-1]] + [power]
+            e = len(g) - 1
+            entries.append(SpectrumEntry(
+                e=e, s=free_rank + sum(1 for v in vals if v), component_dim=e * sum(vals),
+            ))
+    return PrimeProfile(
+        p=p,
+        entries=tuple(sorted(entries)),
+        generic_rank=free_rank,
+        trivial_rank=free_rank + sum(1 for b in factors if peval(F, b, F.one) == F.zero),
+    )
+
+
+def prime_profile(m: ModuleDescriptor, p: int) -> PrimeProfile:
+    """The per-prime data of m at p, from one reduction of the fiber."""
+    fib = fiber_mod_p(m, p)
+    if isinstance(m, Presented):
+        return _chain_profile(p, [list(b) for b in fib.invariant_factors], fib.free_rank)
+    # t_p = dim of the fiber modulo the images of every A - I
+    images = [
+        [(a[r][c] - (r == c)) % p for r in range(fib.dim)]
+        for a in fib.actions
+        for c in range(fib.dim)
+    ]
+    return PrimeProfile(
+        p=p,
+        entries=joint_spectrum(fib),
+        generic_rank=0,
+        trivial_rank=fib.dim - rank(PrimeField(p), images, fib.dim),
+    )
 
 
 # -- counting ------------------------------------------------------------------
@@ -457,30 +545,19 @@ def joint_spectrum(fiber: FiberModule) -> tuple[SpectrumEntry, ...]:
 
 def count_max_submodules(m: ModuleDescriptor, n: int) -> int:
     """Number of maximal submodules of index n; 0 off prime powers."""
-    if n < 2:
-        raise ValueError(f"index must be >= 2, got {n}")
     pp = prime_power_decompose(n)
     if pp is None:
         return 0
-    if isinstance(m, Presented):
-        fib = fiber_mod_p(m, pp.p)
-        return chain_count(
-            [list(b) for b in fib.invariant_factors], fib.free_rank, n
-        )
-    fib = fiber_mod_p(m, pp.p)
-    total = 0
-    for entry in joint_spectrum(fib):
-        if entry.e == pp.k:
-            q = n
-            total += (q ** entry.s - 1) // (q - 1)
-    return total
+    return prime_profile(m, pp.p).count(pp.k)
 
 
 def chain_count(invariant_factors, free_rank: int, n: int) -> int:
     """Maximal submodules of index n of (+)_j F_p[x]/(b_j) (+) F_p[x]^free_rank.
 
-    The summands are ordered so each is a quotient of the next (torsion
-    ascending by divisibility, then free); the count telescopes as
+    The reference that PrimeProfile.count is checked against: it factors
+    every b_j and does not use the profile.  The summands are ordered so
+    each is a quotient of the next (torsion ascending by divisibility, then
+    free); the count telescopes as
     sum_j (m_n(A_j) - m_n(A_{j-1})) (1 + n + ... + n^{t-j}).
     """
     pp = prime_power_decompose(n)
@@ -508,29 +585,10 @@ def chain_count(invariant_factors, free_rank: int, n: int) -> int:
 def split_triv_nontriv(m: ModuleDescriptor, n: int) -> tuple[int, int]:
     """(mtriv, mnontriv): maximal submodules whose simple quotient carries a
     trivial / nontrivial action.  Trivial quotients exist only at prime n."""
-    total = count_max_submodules(m, n)
     pp = prime_power_decompose(n)
-    if pp is None or pp.k != 1:
-        return 0, total
-    p = pp.p
-    if isinstance(m, Presented):
-        fib = fiber_mod_p(m, p)
-        F = PrimeField(p)
-        tp = fib.free_rank + sum(
-            1 for b in fib.invariant_factors
-            if sum(b[i] for i in range(len(b))) % p == 0  # b(1) = 0
-        )
-    else:
-        fib = fiber_mod_p(m, p)
-        F = PrimeField(p)
-        images = []
-        for a in fib.actions:
-            AmI = mat_sub(F, [list(r) for r in a], identity_matrix(F, fib.dim))
-            for col in range(fib.dim):
-                images.append([AmI[r][col] for r in range(fib.dim)])
-        tp = fib.dim - len(row_space_basis(F, images, fib.dim)) if images else fib.dim
-    mtriv = (p ** tp - 1) // (p - 1)
-    return mtriv, total - mtriv
+    if pp is None:
+        return 0, 0
+    return prime_profile(m, pp.p).split(pp.k)
 
 
 # -- invariants and classification ----------------------------------------------

@@ -12,6 +12,8 @@ import pytest
 
 import growthlab
 from growthlab.cli import main
+from growthlab.groups import MAX_NILPOTENT_ELL
+from growthlab.poly import MAX_EXPONENT
 
 
 WREATH = {"type": "wreath_cyclic", "m": 3}
@@ -165,6 +167,42 @@ def test_integer_array_fields_exit2(tmp_path, capsys, doc):
     assert code == 2
     assert err.startswith("spec error: field ") and "must be an array of integers" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "doc, prefix",
+    [
+        ({"type": "nilpotent_gf", "ell": 100000, "f": {}}, "spec error: ell must be <= "),
+        (
+            {"type": "module_presented", "gens": 1, "relations": [["x^99999999999"]]},
+            "spec error: relations[0]: exponent 99999999999 ",
+        ),
+        (
+            {"type": "module_presented", "gens": 1, "relations": [[f"x^{MAX_EXPONENT + 1} - 1"]]},
+            f"spec error: relations[0]: exponent {MAX_EXPONENT + 1} ",
+        ),
+    ],
+)
+def test_oversized_specs_exit2(tmp_path, capsys, doc, prefix):
+    code, out, err = _run(["table", _spec(tmp_path, doc), "--max-n", "5"], capsys)
+    assert code == 2
+    assert err.startswith(prefix)
+    assert out == ""
+
+
+def test_specs_at_the_size_bounds_yield_a_table(tmp_path, capsys):
+    top = {"type": "module_presented", "gens": 1, "relations": [[f"x^{MAX_EXPONENT} - 1"]]}
+    code, out, _ = _run(["table", _spec(tmp_path, top), "--max-n", "2"], capsys)
+    assert code == 0
+    # MAX_EXPONENT is a power of 2, so the relation is (x - 1)^MAX_EXPONENT mod 2
+    assert out.splitlines()[1] == "2,2,1,1,1,0,true"
+    # the largest ell: G/G^p[G,G] has rank u = ell + C(ell, 2), and the
+    # count at 199 has over 4300 digits, so it is printed in full
+    widest = {"type": "nilpotent_gf", "ell": MAX_NILPOTENT_ELL, "f": {}}
+    code, out, _ = _run(["table", _spec(tmp_path, widest), "--max-n", "200"], capsys)
+    assert code == 0
+    u = MAX_NILPOTENT_ELL * (MAX_NILPOTENT_ELL + 1) // 2
+    assert out.splitlines()[-1] == f"199,199,1,{(199 ** u - 1) // 198},{(199 ** u - 1) // 198},0,true"
 
 
 def test_irreducibles(capsys):

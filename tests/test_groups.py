@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from growthlab import groups, modules
 from growthlab.arith import primes_up_to
 from growthlab.groups import (
     NilpotentGf,
@@ -160,3 +161,30 @@ def test_growth_table_z2():
     rep = growth_table(m, 5)
     rows = {r.n: r.count for r in rep.rows}
     assert rows[2] == 3 and rows[3] == 4 and rows[4] == 0 and rows[5] == 6
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        WreathCyclic(9),
+        # Z[x]/(x^2 - 1) (+) Z[x]: free rank 1
+        Presented(gens=2, relations=(((-1, 0, 1),), ((0,),))),
+    ],
+)
+def test_growth_table_reduces_each_fiber_once(monkeypatch, g):
+    reduced = []
+    fiber_mod_p = modules.fiber_mod_p
+
+    def counted(m, p):
+        reduced.append(p)
+        return fiber_mod_p(m, p)
+
+    def refused(n):
+        raise AssertionError(f"growth_table decomposed {n}")
+
+    monkeypatch.setattr(modules, "fiber_mod_p", counted)
+    for namespace in (groups, modules):
+        monkeypatch.setattr(namespace, "prime_power_decompose", refused)
+    rep = growth_table(g, 200)
+    assert len(reduced) == 46 and reduced == primes_up_to(200)  # one reduction per prime
+    assert [r.n for r in rep.rows] == sorted(p ** k for p in reduced for k in range(1, 8) if p ** k <= 200)

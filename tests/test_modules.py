@@ -16,6 +16,7 @@ from growthlab.modules import (
     growth_type_classify,
     joint_spectrum,
     module_invariants,
+    prime_profile,
     split_triv_nontriv,
 )
 from growthlab.oracle import oracle_count_max_submodules
@@ -110,13 +111,34 @@ def test_chain_count_examples():
     invf = (tuple(parse_poly("x^2 - 1")),)
     # at n = 5: torsion has 2 distinct linear factors; chain formula
     got = chain_count(invf, 1, 5)
-    # independent oracle comparison
+    # chain_count telescopes over the factored b_j; count_max_submodules
+    # reads the profile, which factors b_t alone
     m = Presented(gens=2, relations=(
         (tuple(parse_poly("x^2 - 1")), (0,)),
         ((0,), (0,)),
     ))
     assert got == count_max_submodules(m, 5)
     assert chain_count(invf, 1, 7) >= 1
+
+
+def test_presented_profile_counts_match_chain_count():
+    # random 2-generator modules, free rank 0 to 2 (zero rows free a
+    # generator): the profile's count, with its generic tail, against the
+    # telescoping reference
+    rng = random.Random(4)
+    for _ in range(30):
+        relations = tuple(
+            tuple(tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 4))) for _ in range(2))
+            if rng.random() < 0.7 else ((0,), (0,))
+            for _ in range(2)
+        )
+        m = Presented(gens=2, relations=relations)
+        for p in (2, 3, 5, 7, 11, 13):
+            fib = fiber_mod_p(m, p)
+            for k in (1, 2, 3):
+                n = p ** k
+                expected = chain_count(fib.invariant_factors, fib.free_rank, n)
+                assert count_max_submodules(m, n) == expected, (relations, n)
 
 
 def test_presented_counts_against_oracle_fiber():
@@ -255,3 +277,42 @@ def test_determinism():
     b = joint_spectrum(f)
     assert joint_spectrum.cache_info().misses == 1
     assert a == b
+
+
+def test_profile_of_direct_sum_past_the_oracle():
+    # dim 6 at p = 10^9+7 is far past the oracle's p^dim <= 81.  M and N
+    # share no maximal ideal, so the entries of M (+) N are theirs merged
+    p = 1_000_000_007  # = 2 mod 3, so x^2 + x + 1 is irreducible
+    minus_cycle = [[-x for x in row] for row in CYCLE3]
+    cycle_squared = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    jordan = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    jordan_squared = [[1, 2, 0], [0, 1, 0], [0, 0, 1]]
+    m = prime_profile(_ma(3, [minus_cycle, cycle_squared]), p)
+    n = prime_profile(_ma(3, [jordan, jordan_squared]), p)
+    assert (m.entries, m.trivial_rank) == ((SpectrumEntry(1, 1, 1), SpectrumEntry(2, 1, 2)), 0)
+    assert (n.entries, n.trivial_rank) == ((SpectrumEntry(1, 2, 3),), 2)
+    total = prime_profile(
+        _ma(6, [_block_diag(minus_cycle, jordan), _block_diag(cycle_squared, jordan_squared)]), p
+    )
+    assert total.entries == tuple(sorted(m.entries + n.entries))
+    assert total.entries == (SpectrumEntry(1, 1, 1), SpectrumEntry(1, 2, 3), SpectrumEntry(2, 1, 2))
+    assert total.trivial_rank == m.trivial_rank + n.trivial_rank
+    for k in (1, 2, 3):
+        assert total.count(k) == m.count(k) + n.count(k)
+    assert total.split(1) == (p + 1, 1)
+
+
+def test_presented_profile_matches_matrix_profile():
+    # coker(xI - A) over Z[x] is Z^k with x acting by A: the invariant-factor
+    # profile and the joint-spectrum profile must agree entry for entry
+    rng = random.Random(11)
+    for _ in range(12):
+        k = rng.randint(1, 4)
+        A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        x_minus_a = tuple(
+            tuple((-A[i][j], 1) if i == j else (-A[i][j],) for j in range(k))
+            for i in range(k)
+        )
+        presented = Presented(gens=k, relations=x_minus_a)
+        for p in (2, 3, 5, 7, 11, 13):
+            assert prime_profile(presented, p) == prime_profile(_ma(k, [A]), p), (A, p)
