@@ -15,6 +15,7 @@ import sys
 
 from .arith import prime_power_decompose
 from .groups import (
+    MAX_PRESENTED_GENS,
     GroupDescriptor,
     NilpotentGf,
     SemidirectFgAbelian,
@@ -22,7 +23,6 @@ from .groups import (
     ZkByZ,
     asymptotic_leading,
     growth_table,
-    max_subgroups,
     mdeg,
 )
 from .modules import (
@@ -31,7 +31,6 @@ from .modules import (
     count_max_submodules,
     fiber_mod_p,
     growth_type_classify,
-    module_invariants,
 )
 from .oracle import (
     SUBSPACE_STATE_BOUND,
@@ -149,11 +148,14 @@ def parse_spec(doc) -> GroupDescriptor | MatrixAction | Presented:
                 f_vectors[pair] = _int_array(vec, f"f[{key}]")
             return NilpotentGf(ell=ell, f_vectors=f_vectors)
         if typename == "module_matrix":
-            return _matrix_action(
-                doc, typename, group_action=bool(doc.get("group_action", False))
-            )
+            group_action = doc.get("group_action", False)
+            if not isinstance(group_action, bool):
+                raise SpecError("field 'group_action' must be true or false")
+            return _matrix_action(doc, typename, group_action)
         # module_presented
         gens = _require(doc, "gens", int, typename)
+        if gens > MAX_PRESENTED_GENS:
+            raise SpecError(f"gens must be <= {MAX_PRESENTED_GENS}, got {gens}")
         raw = doc.get("relations", [])
         if not isinstance(raw, list):
             raise SpecError("field 'relations' must be an array")
@@ -165,6 +167,8 @@ def parse_spec(doc) -> GroupDescriptor | MatrixAction | Presented:
                 raise SpecError(
                     f"relations[{i}] must give one polynomial per generator"
                 )
+            if not all(isinstance(s, str) for s in rel):
+                raise SpecError(f"relations[{i}] must contain only polynomial strings")
             try:
                 columns.append([tuple(parse_poly(s)) for s in rel])
             except ValueError as exc:

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .arith import factorint
 from .poly import (
-    QQ,
     PrimeField,
     gcd_over_field,
     pdeg,
@@ -62,12 +61,6 @@ def mat_mul(F, A, B):
                 orow[j] = F.add(orow[j], F.mul(a, brow[j]))
         out.append(orow)
     return out
-
-
-def mat_sub(F, A, B):
-    if len(A) != len(B) or (A and len(A[0]) != len(B[0])):
-        raise ValueError("dimension mismatch in mat_sub")
-    return [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_apply(F, A, v):

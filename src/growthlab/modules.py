@@ -28,7 +28,6 @@ from .linalg import (
     poly_of_matrix,
     rank,
     row_space_basis,
-    rref,
     smith_normal_form_int,
     smith_normal_form_poly,
     solve,
@@ -168,11 +167,6 @@ class Presented:
             raise ValueError("relations must have one row per generator")
         if rel and len({len(r) for r in rel}) > 1:
             raise ValueError("ragged relation matrix")
-
-    def relation_matrix(self):
-        if self.relations:
-            return [list(map(list, row)) for row in self.relations]
-        return [[] for _ in range(self.gens)]
 
 
 ModuleDescriptor = MatrixAction | Presented
@@ -317,14 +311,11 @@ def _algebra_basis(F, mats, dim):
         basis_rows = new_rows
 
 
-def _split_by_operator(F, mats, dim, S):
-    """Decompose F^dim into primary components of S; None if S is primary."""
-    f = min_poly_of_matrix(F, S)
-    fac = factor_mod_p(f, F.p)
-    if len(fac.factors) < 2:
-        return None
+def _split(F, mats, dim, S, factors):
+    """Primary components of F^dim under S, one per factor (g, mult) of the
+    min poly of S."""
     pieces = []
-    for g, mult in fac.factors:
+    for g, mult in factors:
         Q = mat_pow(F, poly_of_matrix(F, list(g), S), mult)
         basis = kernel_basis(F, Q, dim)
         sub = [_restrict(F, list(map(list, M)), basis, dim) for M in mats]
@@ -332,49 +323,22 @@ def _split_by_operator(F, mats, dim, S):
     return pieces
 
 
-def _quotient_maps(F, sub_basis, dim):
-    """RREF data for reducing vectors modulo a subspace."""
-    R, pivots = rref(F, sub_basis, dim)
-    comp = [c for c in range(dim) if c not in pivots]
-    return R, pivots, comp
+def _leaf_entry(F, irreducibles, dim):
+    """Residue data (e, s) of a local component.
 
-
-def _reduce_mod(F, R, pivots, comp, v):
-    v = list(v)
-    for r, pc in enumerate(pivots):
-        c = v[pc]
-        if c != F.zero:
-            for i in range(len(v)):
-                v[i] = F.sub(v[i], F.mul(c, R[r][i]))
-    return [v[c] for c in comp]
-
-
-def _leaf_entry(F, mats, dim):
-    """Residue data (e, s) at an accepted leaf."""
-    # min poly of each generator is a power of a single irreducible g_i;
-    # the radical of the algebra is generated by the g_i(M_i)
+    `irreducibles` pairs each generator M_i with the one irreducible g_i whose
+    power is its min poly.  The maximal ideal is generated by the g_i(M_i), so
+    the residue quotient has dimension s*e = dim - rank of their stacked
+    columns; the residue field is F_p adjoined a root of every g_i, of degree
+    e = lcm(deg g_i).
+    """
     nil_images = []
-    for M in mats:
-        f = min_poly_of_matrix(F, M)
-        fac = factor_mod_p(f, F.p)
-        assert len(fac.factors) == 1
-        g = list(fac.factors[0][0])
+    for g, M in irreducibles:
         P = poly_of_matrix(F, g, M)
         nil_images.extend([P[r][c] for r in range(dim)] for c in range(dim))
-    mw = row_space_basis(F, nil_images, dim) if nil_images else []
-    R, pivots, comp = _quotient_maps(F, mw, dim) if mw else ([], [], list(range(dim)))
-    qdim = len(comp)
-    induced = []
-    for M in mats:
-        cols = []
-        for c in comp:
-            e = [F.zero] * dim
-            e[c] = F.one
-            cols.append(_reduce_mod(F, R, pivots, comp, mat_apply(F, M, e)))
-        induced.append([[cols[j][i] for j in range(qdim)] for i in range(qdim)])
-    alg = _algebra_basis(F, induced, qdim) if qdim else []
-    e = len(alg)
-    assert e >= 1 and qdim % e == 0
+    qdim = dim - rank(F, nil_images, dim)
+    e = math.lcm(*(len(g) - 1 for g, _ in irreducibles))
+    assert qdim >= 1 and qdim % e == 0
     return SpectrumEntry(e=e, s=qdim // e, component_dim=dim)
 
 
@@ -406,21 +370,26 @@ def _frobenius_fixed_space(F, alg, dim):
 def _spectrum_of_component(F, mats, dim, out):
     if dim == 0:
         return
-    # split along each generator's min-poly factorization first
+    # factor each generator's min poly once, and split on the first that has
+    # two or more factors
+    irreducibles = []
     for M in mats:
-        pieces = _split_by_operator(F, mats, dim, M)
-        if pieces:
+        factors = factor_mod_p(min_poly_of_matrix(F, M), F.p).factors
+        if len(factors) >= 2:
+            pieces = _split(F, mats, dim, M, factors)
             break
+        irreducibles.append((list(factors[0][0]), M))
     else:
         fixed = _frobenius_fixed_space(F, _algebra_basis(F, mats, dim), dim)
         if len(fixed) == 1:
-            out.append(_leaf_entry(F, mats, dim))
+            out.append(_leaf_entry(F, irreducibles, dim))
             return
         # at most one fixed basis element is scalar; any other has a
         # squarefree min poly dividing x^p - x, so it splits
         for S in fixed:
-            pieces = _split_by_operator(F, mats, dim, S)
-            if pieces:
+            factors = factor_mod_p(min_poly_of_matrix(F, S), F.p).factors
+            if len(factors) >= 2:
+                pieces = _split(F, mats, dim, S, factors)
                 break
         else:
             raise RuntimeError(
@@ -594,14 +563,19 @@ def split_triv_nontriv(m: ModuleDescriptor, n: int) -> tuple[int, int]:
 # -- invariants and classification ----------------------------------------------
 
 
+def _smith_over_qx(m: Presented):
+    """Smith normal form over Q[x] of m's relation matrix, with its ledger of
+    bad primes."""
+    rows = [[[*e] for e in row] for row in m.relations]
+    return smith_normal_form_poly(QQ, rows, ncols=len(rows[0]) if rows else 0)
+
+
 def bad_prime_ledger_module(m: ModuleDescriptor) -> frozenset[int]:
     """Finite superset of the primes where the fiber can differ from the
     generic (characteristic-0) behavior."""
     bad: set[int] = set()
     if isinstance(m, Presented):
-        rows = [[[*e] for e in row] for row in m.relations]
-        snf = smith_normal_form_poly(QQ, rows, ncols=len(rows[0]) if rows else 0)
-        return snf.bad_primes
+        return _smith_over_qx(m).bad_primes
     for t in m.torsion:
         bad.update(factorint(t))
     for blk in m.free_blocks():
@@ -615,8 +589,7 @@ def bad_prime_ledger_module(m: ModuleDescriptor) -> frozenset[int]:
 
 def module_invariants(m: ModuleDescriptor, window: int = 3) -> ModuleInvariants:
     if isinstance(m, Presented):
-        rows_q = [[[*e] for e in row] for row in m.relations]
-        snf = smith_normal_form_poly(QQ, rows_q, ncols=len(rows_q[0]) if rows_q else 0)
+        snf = _smith_over_qx(m)
         a = tuple(
             tuple(int(c) for c in d) for d in snf.diagonal if pdeg(d) >= 1
         )
@@ -650,8 +623,7 @@ def module_invariants(m: ModuleDescriptor, window: int = 3) -> ModuleInvariants:
     p = 2
     while len(ds) < window:
         if is_prime(p) and p not in bad:
-            spec = joint_spectrum(fiber_mod_p(m, p))
-            ds.append(max((e.s for e in spec), default=0))
+            ds.append(max((e.s for e in prime_profile(m, p).entries), default=0))
         p += 1
     if len(set(ds)) > 1:
         raise ValueError(
@@ -668,20 +640,16 @@ def growth_type_classify(m: ModuleDescriptor) -> GrowthType:
     d or d-1, or n^r_max/log n."""
     if not isinstance(m, Presented):
         raise ValueError("growth_type_classify requires a Presented module")
-    rows_q = [[[*e] for e in row] for row in m.relations]
-    ncols = len(rows_q[0]) if rows_q else 0
-    snf = smith_normal_form_poly(QQ, rows_q, ncols=ncols)
+    return _growth_type(m, lambda p: fiber_mod_p(m, p).free_rank)
+
+
+def _growth_type(m: Presented, free_rank_at) -> GrowthType:
+    """growth_type_classify, given the free rank of the fiber at a prime."""
+    snf = _smith_over_qx(m)
     r0 = m.gens - snf.rank
     s0 = sum(1 for d in snf.diagonal if pdeg(d) >= 1)
     d = r0 + s0
-    r_max = r0
-    for p in sorted(set(snf.bad_primes) | {2, 3}):
-        F = PrimeField(p)
-        rows_p = [
-            [int_poly_to_field(F, list(e)) for e in row] for row in m.relations
-        ]
-        rp = m.gens - smith_normal_form_poly(F, rows_p, ncols=ncols).rank
-        r_max = max(r_max, rp)
+    r_max = max([r0] + [free_rank_at(p) for p in sorted(set(snf.bad_primes) | {2, 3})])
     if d > r_max:
         return GrowthType(kind="PolyDegree", degree=d - 1, d=d, r_max=r_max, r0=r0)
     if d == r_max == r0:

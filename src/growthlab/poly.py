@@ -55,9 +55,6 @@ class PrimeField:
     def inv(self, a):
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -97,10 +94,6 @@ class RationalField:
     @staticmethod
     def inv(a):
         return 1 / a
-
-    @staticmethod
-    def div(a, b):
-        return a / b
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

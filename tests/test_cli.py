@@ -9,10 +9,11 @@ from importlib import metadata
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import growthlab
-from growthlab.cli import main
-from growthlab.groups import MAX_NILPOTENT_ELL
+from growthlab.cli import SpecError, main, parse_spec
+from growthlab.groups import MAX_NILPOTENT_ELL, MAX_PRESENTED_GENS, MAX_WREATH_ORDER
 from growthlab.poly import MAX_EXPONENT
 
 
@@ -181,6 +182,14 @@ def test_integer_array_fields_exit2(tmp_path, capsys, doc):
             {"type": "module_presented", "gens": 1, "relations": [[f"x^{MAX_EXPONENT + 1} - 1"]]},
             f"spec error: relations[0]: exponent {MAX_EXPONENT + 1} ",
         ),
+        (
+            {"type": "module_presented", "gens": 100000000, "relations": []},
+            f"spec error: gens must be <= {MAX_PRESENTED_GENS}, got 100000000",
+        ),
+        (
+            {"type": "wreath_cyclic", "m": MAX_WREATH_ORDER + 1},
+            f"spec error: wreath order m must be <= {MAX_WREATH_ORDER}, got {MAX_WREATH_ORDER + 1}",
+        ),
     ],
 )
 def test_oversized_specs_exit2(tmp_path, capsys, doc, prefix):
@@ -203,6 +212,93 @@ def test_specs_at_the_size_bounds_yield_a_table(tmp_path, capsys):
     assert code == 0
     u = MAX_NILPOTENT_ELL * (MAX_NILPOTENT_ELL + 1) // 2
     assert out.splitlines()[-1] == f"199,199,1,{(199 ** u - 1) // 198},{(199 ** u - 1) // 198},0,true"
+    # free rank r: at n = 2 each of the two linear irreducibles gives 2^r - 1
+    free = {"type": "module_presented", "gens": MAX_PRESENTED_GENS, "relations": []}
+    code, out, _ = _run(["table", _spec(tmp_path, free), "--max-n", "2"], capsys)
+    assert code == 0
+    r = MAX_PRESENTED_GENS
+    assert out.splitlines()[1] == f"2,2,1,{2 * (2 ** r - 1)},{2 ** r - 1},{2 ** r - 1},true"
+    # Z wr Z/32: x^32 - 1 has 16 linear factors mod 17, x - 1 among them
+    assert MAX_WREATH_ORDER == 32
+    widest_wreath = {"type": "wreath_cyclic", "m": MAX_WREATH_ORDER}
+    code, out, _ = _run(["table", _spec(tmp_path, widest_wreath), "--max-n", "17"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == f"17,17,1,{1 + 17 * 15},1,15,true"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"type": "module_presented", "gens": 1, "relations": [[5]]}, "relations[0] must contain only polynomial strings"),
+        ({"type": "module_matrix", "actions": [[[1]]], "group_action": "false"}, "field 'group_action' must be true or false"),
+    ],
+)
+def test_malformed_fields_exit2(tmp_path, capsys, doc, message):
+    code, out, err = _run(["table", _spec(tmp_path, doc), "--max-n", "5"], capsys)
+    assert (code, out, err) == (2, "", f"spec error: {message}\n")
+
+
+_SMALL_INTS = st.integers(-3, 6)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | _SMALL_INTS | st.floats(-2, 2)
+    | st.sampled_from(["", "x", "x^2 - 1", "2x + 1", "x^", "y", "1,2", "true"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["1,2", "1,3", "2,3", "1", "a,b"]), inner, max_size=3),
+    max_leaves=10,
+)
+_SQUARE = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_SMALL_INTS, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_ACTIONS = st.lists(_SQUARE, min_size=1, max_size=2)
+_ORDERS = st.lists(st.integers(-1, 6), max_size=2)
+_POLYS = st.sampled_from(["0", "1", "x", "x - 1", "x^2 + 1", "3", "x^3 - x"]) | _JSON_SCALARS
+
+
+def _relations(gens):
+    column = st.lists(_POLYS, min_size=max(gens, 0), max_size=max(gens, 0))
+    return st.fixed_dictionaries({"gens": st.just(gens), "relations": st.lists(column, max_size=2)})
+
+
+# the fields of each spec type, well shaped though not always valid
+_SHAPED = {
+    "zk_by_z": st.fixed_dictionaries({"matrix": _SQUARE, "torsion": _ORDERS}),
+    "semidirect": st.fixed_dictionaries({
+        "actions": _ACTIONS, "torsion": _ORDERS, "acting_rank": _SMALL_INTS, "acting_torsion": _ORDERS,
+    }),
+    "wreath_cyclic": st.fixed_dictionaries({"m": _SMALL_INTS}),
+    "nilpotent_gf": st.fixed_dictionaries({
+        "ell": _SMALL_INTS,
+        "f": st.dictionaries(st.sampled_from(["1,2", "1,3", "2,3", "2,1", "1"]), _ORDERS, max_size=3),
+    }),
+    "module_matrix": st.fixed_dictionaries({"actions": _ACTIONS, "torsion": _ORDERS, "group_action": _JSON_SCALARS}),
+    "module_presented": st.integers(-1, 2).flatmap(_relations),
+}
+_FIELD_NAMES = st.sampled_from(["acting_rank", "acting_torsion", "actions", "ell", "f", "gens",
+                                "group_action", "m", "matrix", "relations", "torsion"])
+
+
+def _spec_docs(typename):
+    """Well-shaped docs of a type, with up to two fields overwritten by any JSON value."""
+    return st.tuples(_SHAPED[typename], st.dictionaries(_FIELD_NAMES, _JSON_VALUES, max_size=2)).map(
+        lambda shaped_and_noise: {"type": typename, **shaped_and_noise[0], **shaped_and_noise[1]}
+    )
+
+
+_SPEC_DOCS = {typename: _spec_docs(typename) for typename in _SHAPED}
+_SPEC_DOCS["untyped"] = st.fixed_dictionaries({"type": _JSON_SCALARS}) | _JSON_VALUES
+
+
+@pytest.mark.parametrize("kind", sorted(_SPEC_DOCS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_spec_raises_only_spec_errors(kind, data):
+    try:
+        parse_spec(data.draw(_SPEC_DOCS[kind]))
+    except SpecError:
+        pass
 
 
 def test_irreducibles(capsys):

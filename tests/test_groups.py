@@ -188,3 +188,19 @@ def test_growth_table_reduces_each_fiber_once(monkeypatch, g):
     rep = growth_table(g, 200)
     assert len(reduced) == 46 and reduced == primes_up_to(200)  # one reduction per prime
     assert [r.n for r in rep.rows] == sorted(p ** k for p in reduced for k in range(1, 8) if p ** k <= 200)
+
+
+def test_joint_spectrum_factors_each_min_poly_once(monkeypatch):
+    # one factorization per generator of a component until one splits, plus
+    # one per Frobenius-fixed element tried; a leaf reuses its generators'
+    factored = []
+    factor_mod_p = modules.factor_mod_p
+
+    def counted(f, p):
+        factored.append(p)
+        return factor_mod_p(f, p)
+
+    monkeypatch.setattr(modules, "factor_mod_p", counted)
+    modules.joint_spectrum.cache_clear()
+    growth_table(WreathCyclic(9), 200)
+    assert len(factored) == 269

@@ -1,0 +1,50 @@
+"""Static checks on the growthlab sources: no unused top-level import, and no
+private top-level function that nothing in the package calls."""
+
+import ast
+from pathlib import Path
+
+import growthlab
+
+PACKAGE = Path(growthlab.__file__).resolve().parent
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _referenced(nodes):
+    """Names loaded or attributes read anywhere under `nodes`."""
+    names = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_top_level_import_is_used():
+    unused = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":
+            continue
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", None) != "__future__"
+            for alias in stmt.names
+        ]
+        used = _referenced(s for s in tree.body if not isinstance(s, (ast.Import, ast.ImportFrom)))
+        unused += [f"{name}: {alias}" for alias in imported if alias not in used]
+    assert not unused, f"unused imports: {unused}"
+
+
+def test_every_private_function_is_called():
+    orphans = []
+    for name, tree in TREES.items():
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_"):
+                # a function's references to itself do not count
+                elsewhere = [s for t in TREES.values() for s in t.body if s is not fn]
+                if fn.name not in _referenced(elsewhere):
+                    orphans.append(f"{name}: {fn.name}")
+    assert not orphans, f"private functions referenced nowhere in the package: {orphans}"

@@ -268,6 +268,38 @@ def test_local_field_near_2_61():
     assert count_max_submodules(m, p ** 3) == 1
 
 
+def _companion(f):
+    """Companion matrix of a monic integer polynomial (ascending coefficients)."""
+    d = len(f) - 1
+    return [[-f[r] if c == d - 1 else int(r == c + 1) for c in range(d)] for r in range(d)]
+
+
+def _kron(A, B):
+    n = len(B)
+    return [[A[i // n][j // n] * B[i % n][j % n] for j in range(len(A) * n)] for i in range(len(A) * n)]
+
+
+def test_tensor_leaf_past_the_oracle():
+    # F_p[A] (x) F_p[B] = F_{p^2} (x) F_{p^3} = F_{p^6}: both actions are
+    # primary of degrees 2 and 3, nothing splits, and the residue field of the
+    # one leaf has degree lcm(2, 3) = 6.  p^dim = p^6 is far past the oracle.
+    p = 1_000_000_007
+    def irreducible(family):
+        return next(f for f in map(family, range(1, 50)) if factor_mod_p(f, p).factors == ((tuple(f), 1),))
+
+    I2, I3 = ([[int(r == c) for c in range(n)] for r in range(n)] for n in (2, 3))
+    actions = [
+        _kron(_companion(irreducible(lambda c: [c, 0, 1])), I3),
+        _kron(I2, _companion(irreducible(lambda c: [c, 1, 0, 1]))),
+    ]
+    m = _ma(6, actions)
+    assert joint_spectrum(fiber_mod_p(m, p)) == (SpectrumEntry(6, 1, 6),)
+    assert [count_max_submodules(m, p ** k) for k in range(1, 7)] == [0, 0, 0, 0, 0, 1]
+    twice = _ma(12, [_block_diag(a, a) for a in actions])
+    assert joint_spectrum(fiber_mod_p(twice, p)) == (SpectrumEntry(6, 2, 12),)
+    assert count_max_submodules(twice, p ** 6) == p ** 6 + 1
+
+
 def test_determinism():
     # a non-local algebra at a large prime: the Frobenius splitter's min poly
     # is factored by randomized Cantor-Zassenhaus
