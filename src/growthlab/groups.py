@@ -14,10 +14,11 @@ derivation count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .arith import is_prime, prime_power_decompose, primes_up_to
-from .linalg import mat_pow, rank as mat_rank
+from .arith import factorint, is_prime, prime_power_decompose, primes_up_to
+from .linalg import mat_mul, min_poly_of_matrix, rank as mat_rank
 from .modules import (
     MatrixAction,
     Presented,
@@ -29,7 +30,7 @@ from .modules import (
     module_invariants,
     prime_profile,
 )
-from .poly import QQ, PrimeField
+from .poly import QQ, PrimeField, pdeg, pdivmod, pmod
 
 # Largest ell accepted by NilpotentGf: its center has C(ell, 2) generators,
 # and counts at p are powers p^(ell + C(ell, 2) - rank).
@@ -90,28 +91,49 @@ class SemidirectFgAbelian:
             )
         if not self.module.group_action:
             raise ValueError("semidirect actions must be group actions")
+        k, tors = self.module.k, self.module.torsion
+        identity = [[int(r == c) for c in range(k + len(tors))] for r in range(k + len(tors))]
         for i, order in enumerate(self.acting_torsion):
             a = self.module.actions[self.acting_rank + i]
-            if not self._is_identity_endo(mat_pow(QQ, a, order)):
+            # a free block of infinite order is refused before any power is taken
+            if not _has_finite_order([row[:k] for row in a[:k]]) or _endo_pow(a, order, k, tors) != identity:
                 raise ValueError(
                     f"acting torsion generator {i} has order {order} but its "
                     "action matrix does not"
                 )
 
-    def _is_identity_endo(self, m):
-        k = self.module.k
-        tors = self.module.torsion
-        dim = k + len(tors)
-        for r in range(dim):
-            for c in range(dim):
-                want = 1 if r == c else 0
-                diff = m[r][c] - want
-                if r < k:
-                    if diff != 0:
-                        return False
-                elif diff % tors[r - k]:
-                    return False
-        return True
+
+def _has_finite_order(block) -> bool:
+    """Whether a square integer matrix has finite order, i.e. its min poly
+    over Q is a squarefree product of cyclotomic Phi_n.  Each such n has
+    phi(n) <= size, and phi(n) >= sqrt(n/2) bounds the n to try.  Phi_n is
+    x^n - 1 divided by the Phi_d, d | n, d < n, which were built before it
+    since phi(d) <= phi(n)."""
+    rest = min_poly_of_matrix(QQ, block)
+    cyclotomic = {}
+    for n in range(1, 2 * len(block) ** 2 + 1):
+        primes = factorint(n)
+        if n // math.prod(primes) * math.prod(q - 1 for q in primes) <= pdeg(rest):
+            f = [-1] + [0] * (n - 1) + [1]
+            for d in [d for d in cyclotomic if n % d == 0]:
+                f = pdivmod(QQ, f, cyclotomic[d])[0]
+            if not pmod(QQ, rest, f):
+                rest = pdivmod(QQ, rest, f)[0]
+            cyclotomic[n] = f
+    return pdeg(rest) == 0
+
+
+def _endo_pow(a, e, k, torsion):
+    """a**e as an endomorphism of Z^k (+) (+)_j Z/t_j, by binary
+    exponentiation with each torsion row reduced mod its t_j.  When the free
+    block has finite order, no entry grows."""
+    out = [[int(r == c) for c in range(len(a))] for r in range(len(a))]
+    for bit in bin(e)[2:]:
+        out = mat_mul(QQ, out, out)
+        if bit == "1":
+            out = mat_mul(QQ, out, a)
+        out = [row if r < k else [c % torsion[r - k] for c in row] for r, row in enumerate(out)]
+    return out
 
 
 @dataclass(frozen=True)

@@ -265,8 +265,13 @@ def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
     Over Q the result carries a bad-prime ledger: every prime dividing a
     numerator or denominator of a pivot's leading coefficient, a cleared
     denominator, or the leading coefficient of a final diagonal entry.  Off
-    this ledger the mod-p reduction of the invariant factors equals the SNF
-    of the entrywise reduction.
+    this ledger the rank, and so the free rank of the cokernel, is the same
+    mod p.  The invariant factors need not be: the step that enforces the
+    divisibility chain logs no primes, and for xI - A with A the companion
+    matrices of x^2 - 3x + 1 and x^2 - 33x + 1 the ledger is empty, yet at
+    p = 2, 3, 5 the mod-p form has two quadratic factors where the Q[x] form
+    has one quartic.  Counts at p therefore take the SNF over F_p at each p
+    and need no ledger.
     """
     m, n = _shape(rows, ncols)
     A = [[pnormalize(list(e)) for e in r] for r in rows]

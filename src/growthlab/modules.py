@@ -4,11 +4,16 @@ growth.
 A module is given either by commuting integer matrices acting on
 Z^k (+) Z/t_1 (+) ... (MatrixAction) or, in one variable, by a presentation
 matrix over Z[x] (Presented).  Every maximal submodule of p-power index
-contains pN, so counting happens in the fiber N/pN: split the fiber into
-primary components of the commuting algebra, read off the residue degree e
-and multiplicity s at each maximal ideal, and sum (q^s - 1)/(q - 1) over the
-ideals with residue field of the right size q = p^k.  The per-prime data is
-one PrimeProfile, which every count at the powers of p is read from.
+contains pN, so counting happens in the fiber N/pN: find the residue degree
+e and multiplicity s at each maximal ideal, and sum (q^s - 1)/(q - 1) over
+the ideals with residue field of the right size q = p^k.  The per-prime data
+is one PrimeProfile, which every count at the powers of p is read from.
+
+In one variable (a Presented module, or a MatrixAction with one action A,
+which is coker(xI - A) over Z[x]) the fiber is an F_p[x]-module, and the
+profile is read off its F_p[x] invariant factors.  With two or more actions,
+joint_spectrum splits the fiber into primary components of the commuting
+algebra.
 """
 
 from __future__ import annotations
@@ -195,7 +200,7 @@ class FiberModule:
 
 @dataclass(frozen=True)
 class PresentedFiber:
-    """N/pN for a Presented module: F_p[x] invariant factors plus free rank."""
+    """N/pN as an F_p[x]-module: non-unit invariant factors plus free rank."""
 
     p: int
     invariant_factors: tuple[tuple[int, ...], ...]
@@ -244,21 +249,25 @@ class GrowthType:
 # -- fibers --------------------------------------------------------------------
 
 
+def _smith_over_fpx(F, rows, gens):
+    """The F_p[x]-module coker(rows), `rows` a matrix over F_p[x] with `gens`
+    rows, read off its Smith normal form: non-unit invariant factors and
+    free rank."""
+    snf = smith_normal_form_poly(F, rows, ncols=len(rows[0]) if rows else 0)
+    return PresentedFiber(
+        p=F.p,
+        invariant_factors=tuple(tuple(d) for d in snf.diagonal if pdeg(d) >= 1),
+        free_rank=gens - snf.rank,
+    )
+
+
 def fiber_mod_p(m: ModuleDescriptor, p: int):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(m, Presented):
         F = PrimeField(p)
-        rows = [
-            [int_poly_to_field(F, list(e)) for e in row] for row in m.relations
-        ]
-        snf = smith_normal_form_poly(F, rows, ncols=len(rows[0]) if rows else 0)
-        nonunit = tuple(
-            tuple(d) for d in snf.diagonal if pdeg(d) >= 1
-        )
-        return PresentedFiber(
-            p=p, invariant_factors=nonunit, free_rank=m.gens - snf.rank
-        )
+        rows = [[int_poly_to_field(F, list(e)) for e in row] for row in m.relations]
+        return _smith_over_fpx(F, rows, m.gens)
     keep = list(range(m.k)) + [
         m.k + j for j, t in enumerate(m.torsion) if t % p == 0
     ]
@@ -405,7 +414,9 @@ def joint_spectrum(fiber: FiberModule) -> tuple[SpectrumEntry, ...]:
     """Maximal ideals of the algebra generated by the fiber actions.
 
     Each entry (e, s, component_dim) contributes (q^s - 1)/(q - 1) maximal
-    submodules of index q = p^e.
+    submodules of index q = p^e.  prime_profile calls it for two or more
+    actions only; with one action it is the reference that the F_p[x]
+    invariant-factor profile is tested against.
     """
     F = PrimeField(fiber.p)
     mats = [list(map(list, a)) for a in fiber.actions]
@@ -491,9 +502,14 @@ def _chain_profile(p, factors, free_rank):
 
 
 def prime_profile(m: ModuleDescriptor, p: int) -> PrimeProfile:
-    """The per-prime data of m at p, from one reduction of the fiber."""
+    """The per-prime data of m at p, from one reduction of the fiber: its
+    F_p[x] invariant factors for a Presented module or a MatrixAction with
+    one action A (those of xI - A mod p), joint_spectrum for two or more."""
     fib = fiber_mod_p(m, p)
-    if isinstance(m, Presented):
+    if isinstance(m, MatrixAction) and m.ell == 1:
+        F = PrimeField(p)
+        fib = _smith_over_fpx(F, x_minus_matrix(F, fib.actions[0]), fib.dim)
+    if isinstance(fib, PresentedFiber):
         return _chain_profile(p, [list(b) for b in fib.invariant_factors], fib.free_rank)
     # t_p = dim of the fiber modulo the images of every A - I
     images = [

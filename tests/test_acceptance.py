@@ -172,13 +172,13 @@ def test_criterion_4_ell1_chain_crosscheck():
             invf = tuple(
                 tuple(d) for d in snf.diagonal if len(d) > 1
             )
+            spectrum = joint_spectrum(fiber_mod_p(m, p))
             for j in range(1, min(k, 4) + 1):
                 n = p ** j
-                assert count_max_submodules(m, n) == chain_count(invf, 0, n), (
-                    A,
-                    p,
-                    j,
-                )
+                expected = chain_count(invf, 0, n)
+                assert count_max_submodules(m, n) == expected, (A, p, j)
+                from_spectrum = sum((n ** e.s - 1) // (n - 1) for e in spectrum if e.e == j)
+                assert from_spectrum == expected, (A, p, j)
     _budget(start, 30, "criterion 4")
     print("criterion 4 (joint spectrum vs invariant-factor chain, 50 matrices): PASS")
 

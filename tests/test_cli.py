@@ -226,6 +226,24 @@ def test_specs_at_the_size_bounds_yield_a_table(tmp_path, capsys):
     assert out.splitlines()[-1] == f"17,17,1,{1 + 17 * 15},1,15,true"
 
 
+def test_acting_torsion_order_is_checked_without_a_stall(tmp_path, capsys):
+    # [[2,1],[1,1]] has infinite order: it is refused before any power is
+    # taken, where A^(10^8) over Z grew without bound
+    infinite = {"type": "semidirect", "acting_rank": 0, "actions": [[[2, 1], [1, 1]]], "acting_torsion": [100000000]}
+    code, out, err = _run(["table", _spec(tmp_path, infinite), "--max-n", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "spec error: acting torsion generator 0 has order 100000000 but its action matrix does not\n"
+    # a rotation of order 4: Z/10^8 has one map onto Z/5, and
+    # x^2 + 1 = (x - 2)(x + 2) mod 5
+    rotation = dict(infinite, actions=[[[0, -1], [1, 0]]])
+    code, out, _ = _run(["table", _spec(tmp_path, rotation), "--max-n", "5"], capsys)
+    assert code == 0 and out.splitlines()[-1] == "5,5,1,11,0,2,true"
+    # 2 has order 6 on Z/9; the torsion row is reduced mod 9 at every step
+    doubling = dict(infinite, actions=[[[2]]], torsion=[9], acting_torsion=[6 * 10 ** 8])
+    code, out, _ = _run(["table", _spec(tmp_path, doubling), "--max-n", "5"], capsys)
+    assert code == 0 and out.startswith("n,p,k,count,mtriv,mnontriv,exact\n")
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

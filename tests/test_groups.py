@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -192,7 +193,9 @@ def test_growth_table_reduces_each_fiber_once(monkeypatch, g):
 
 def test_joint_spectrum_factors_each_min_poly_once(monkeypatch):
     # one factorization per generator of a component until one splits, plus
-    # one per Frobenius-fixed element tried; a leaf reuses its generators'
+    # one per Frobenius-fixed element tried; a leaf reuses its generators'.
+    # A one-action table no longer calls joint_spectrum, so it is called
+    # here on the 46 fibers of Z wr Z/9 at p <= 200
     factored = []
     factor_mod_p = modules.factor_mod_p
 
@@ -202,5 +205,67 @@ def test_joint_spectrum_factors_each_min_poly_once(monkeypatch):
 
     monkeypatch.setattr(modules, "factor_mod_p", counted)
     modules.joint_spectrum.cache_clear()
-    growth_table(WreathCyclic(9), 200)
+    module = WreathCyclic(9).expand().module
+    for p in primes_up_to(200):
+        modules.joint_spectrum(modules.fiber_mod_p(module, p))
     assert len(factored) == 269
+
+
+def test_one_action_table_reads_invariant_factors(monkeypatch):
+    # one factorization per prime, of the largest invariant factor only, and
+    # no fiber algebra
+    factored, spectra = [], []
+    factor_mod_p, joint_spectrum = modules.factor_mod_p, modules.joint_spectrum
+
+    def counted_factor(f, p):
+        factored.append(p)
+        return factor_mod_p(f, p)
+
+    def counted_spectrum(fiber):
+        spectra.append(fiber.p)
+        return joint_spectrum(fiber)
+
+    monkeypatch.setattr(modules, "factor_mod_p", counted_factor)
+    monkeypatch.setattr(modules, "joint_spectrum", counted_spectrum)
+    growth_table(WreathCyclic(9), 200)
+    assert factored == primes_up_to(200) and len(factored) == 46
+    assert spectra == []
+
+
+def _euler_phi(d):
+    return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+
+def _multiplicative_order(p, d):
+    k, power = 1, p % d
+    while power != 1 % d:
+        k, power = k + 1, power * p % d
+    return k
+
+
+@pytest.mark.parametrize("m", [*range(2, 13), 16, 27, 32])
+def test_wreath_closed_form(m):
+    # Z wr Z/m: write m = m' p^a with p not dividing m'.  Mod p, x^m - 1 is
+    # (x^m' - 1)^(p^a), whose irreducible factors of degree k number
+    # N_k = sum of phi(d)/k over d | m' with ord_d(p) = k.  At n = p, x - 1
+    # gives the one trivial quotient, and Hom(Z/m, F_p) has h = p^[p | m]
+    # elements: count = [p | m] + h + p (N_1 - 1).  At n = p^k, k >= 2,
+    # count = n N_k.
+    rows = growth_table(WreathCyclic(m), 100).rows
+    assert len(rows) == 35
+    for row in rows:
+        p, k = row.p, row.k
+        m_prime = m
+        while m_prime % p == 0:
+            m_prime //= p
+        n_k = sum(
+            _euler_phi(d) // k
+            for d in range(1, m_prime + 1)
+            if m_prime % d == 0 and _multiplicative_order(p, d) == k
+        )
+        if k == 1:
+            divides = int(m % p == 0)
+            expected = (p, 1, p, divides + (p if divides else 1) + p * (n_k - 1), 1, n_k - 1)
+        else:
+            expected = (p ** k, k, p, p ** k * n_k, 0, n_k)
+        assert (row.n, row.k, row.p, row.count, row.mtriv, row.mnontriv) == expected, (m, row)

@@ -1,13 +1,16 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from growthlab.linalg import rank
 from growthlab.modules import (
     FiberModule,
     MatrixAction,
     Presented,
     PresentedFiber,
+    PrimeProfile,
     SpectrumEntry,
     bad_prime_ledger_module,
     chain_count,
@@ -20,7 +23,7 @@ from growthlab.modules import (
     split_triv_nontriv,
 )
 from growthlab.oracle import oracle_count_max_submodules
-from growthlab.poly import factor_mod_p, parse_poly
+from growthlab.poly import PrimeField, factor_mod_p, parse_poly
 
 
 def _ma(k, actions, torsion=(), group_action=False):
@@ -334,9 +337,25 @@ def test_profile_of_direct_sum_past_the_oracle():
     assert total.split(1) == (p + 1, 1)
 
 
+def _joint_spectrum_profile(m, p):
+    """The profile of a MatrixAction built the ell >= 2 way: joint_spectrum
+    of the fiber, and t_p from the rank of the images of every A - I."""
+    fib = fiber_mod_p(m, p)
+    images = [
+        [(a[r][c] - (r == c)) % p for r in range(fib.dim)]
+        for a in fib.actions
+        for c in range(fib.dim)
+    ]
+    return PrimeProfile(
+        p=p, entries=joint_spectrum(fib), generic_rank=0,
+        trivial_rank=fib.dim - rank(PrimeField(p), images, fib.dim),
+    )
+
+
 def test_presented_profile_matches_matrix_profile():
     # coker(xI - A) over Z[x] is Z^k with x acting by A: the invariant-factor
-    # profile and the joint-spectrum profile must agree entry for entry
+    # profiles of both descriptors must agree, entry for entry, with the
+    # joint-spectrum profile
     rng = random.Random(11)
     for _ in range(12):
         k = rng.randint(1, 4)
@@ -347,4 +366,33 @@ def test_presented_profile_matches_matrix_profile():
         )
         presented = Presented(gens=k, relations=x_minus_a)
         for p in (2, 3, 5, 7, 11, 13):
-            assert prime_profile(presented, p) == prime_profile(_ma(k, [A]), p), (A, p)
+            expected = _joint_spectrum_profile(_ma(k, [A]), p)
+            assert prime_profile(presented, p) == prime_profile(_ma(k, [A]), p) == expected, (A, p)
+
+
+def _random_action_with_torsion(rng):
+    """One endomorphism of Z^k (+) (+)_j Z/t_j, k + #t <= 6: no torsion
+    generator maps into the free part, and entry (r, j) of the torsion block
+    is a multiple of t_r / gcd(t_r, t_j)."""
+    k = rng.randint(0, 4)
+    torsion = [rng.choice([2, 3, 4, 6, 9]) for _ in range(rng.randint(1 if k == 0 else 0, 6 - k))]
+    dim = k + len(torsion)
+    A = [[0] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(dim):
+            if c < k:
+                A[r][c] = rng.randint(-3, 3)
+            elif r >= k:
+                t_r, t_c = torsion[r - k], torsion[c - k]
+                A[r][c] = rng.randint(-3, 3) * (t_r // math.gcd(t_r, t_c))
+    return _ma(k, [A], torsion=torsion)
+
+
+def test_one_action_profile_matches_joint_spectrum():
+    # single actions with torsion, at the primes of the torsion and far past
+    # the oracle
+    rng = random.Random(6)
+    for _ in range(40):
+        m = _random_action_with_torsion(rng)
+        for p in (2, 3, 5, 7, 1_000_003, 2 ** 31 - 1):
+            assert prime_profile(m, p) == _joint_spectrum_profile(m, p), (m, p)
