@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .arith import prime_power_decompose
 from .groups import (
@@ -221,28 +222,10 @@ def cmd_table(args) -> int:
             )
         out = "\n".join(lines) + "\n"
     else:
-        doc = {
-            "seed": seed,
-            "rows": [
-                {
-                    "n": r.n,
-                    "p": r.p,
-                    "k": r.k,
-                    "count": r.count,
-                    "mtriv": r.mtriv,
-                    "mnontriv": r.mnontriv,
-                    "exact": r.exact,
-                }
-                for r in report.rows
-            ],
-            "exactness": report.exactness,
-        }
+        # the row and mdeg keys are the dataclass fields, in their order
+        doc = {"seed": seed, "rows": [asdict(r) for r in report.rows], "exactness": report.exactness}
         if report.mdeg is not None:
-            doc["mdeg"] = {
-                "value": report.mdeg.value,
-                "provenance": report.mdeg.provenance,
-                "exactness": report.mdeg.exactness,
-            }
+            doc["mdeg"] = asdict(report.mdeg)
         if report.asymptotic is not None:
             doc["asymptotic"] = {
                 "rho1": report.asymptotic[0],
@@ -261,13 +244,9 @@ def cmd_mdeg(args) -> int:
     doc = {"seed": seed}
     if isinstance(desc, (ZkByZ, SemidirectFgAbelian, WreathCyclic, NilpotentGf)):
         result = mdeg(desc)
-        doc["mdeg"] = result.value
-        doc["provenance"] = result.provenance
-        doc["exactness"] = result.exactness
+        doc.update(mdeg=result.value, provenance=result.provenance, exactness=result.exactness)
         if isinstance(desc, ZkByZ):
-            rho1, d = asymptotic_leading(desc)
-            doc["rho1"] = rho1
-            doc["d"] = d
+            doc["rho1"], doc["d"] = asymptotic_leading(desc)
     else:
         sys.stderr.write("mdeg applies to group specs, not bare modules\n")
         return 3

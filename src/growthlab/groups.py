@@ -212,8 +212,8 @@ GroupDescriptor = ZkByZ | SemidirectFgAbelian | WreathCyclic | NilpotentGf
 @dataclass(frozen=True)
 class MdegValue:
     value: int
-    provenance: str  # "exact-theorem" | "window-stabilized"
-    exactness: str  # "exact" | "upper-bound"
+    provenance: str  # "exact-theorem"
+    exactness: str  # "exact"
 
 
 @dataclass(frozen=True)
@@ -290,30 +290,30 @@ def max_subgroups(g: GroupDescriptor, n: int) -> int:
     return _group_count(g, _profile(g, pp.p), pp.k)
 
 
-def mdeg(g: GroupDescriptor, window: int = 3) -> MdegValue:
-    """Degree of polynomial growth of n -> max_subgroups(g, n)."""
+def mdeg(g: GroupDescriptor) -> MdegValue:
+    """Degree of polynomial growth of n -> max_subgroups(g, n).
+
+    For N x| A it is read off the generic simple quotients of N
+    (module_invariants).  With A infinite of rank r it is max(r + t - 1, d).
+    With A finite it is max(t - 1, d_nt): at a generic p the trivial
+    quotients give p^(t-1) subgroups, and every nontrivial simple quotient of
+    multiplicity s gives q^s at a positive density of primes (Chebotarev).
+    """
     if isinstance(g, WreathCyclic):
         g = g.expand()
     if isinstance(g, ZkByZ):
-        inv = module_invariants(g.module, window)
-        return MdegValue(value=inv.d, provenance="exact-theorem", exactness="exact")
-    if isinstance(g, SemidirectFgAbelian):
-        inv = module_invariants(g.module, window)
-        prov = "exact-theorem" if inv.provenance == "exact" else "window-stabilized"
-        ell = g.acting_rank
-        if ell >= 1:
-            return MdegValue(
-                value=max(ell + inv.t - 1, inv.d), provenance=prov, exactness="exact"
-            )
-        # finite acting group: the true value is this bound or one less
-        return MdegValue(
-            value=max(inv.t - 1, inv.d), provenance=prov, exactness="upper-bound"
-        )
-    if isinstance(g, NilpotentGf):
-        return MdegValue(
-            value=g.abelian_rank(QQ) - 1, provenance="exact-theorem", exactness="exact"
-        )
-    raise ValueError(f"unsupported descriptor {type(g).__name__}")
+        value = module_invariants(g.module).d
+    elif isinstance(g, SemidirectFgAbelian):
+        inv = module_invariants(g.module)
+        if g.acting_rank:
+            value = max(g.acting_rank + inv.t - 1, inv.d)
+        else:
+            value = max(inv.t - 1, inv.d_nt)
+    elif isinstance(g, NilpotentGf):
+        value = g.abelian_rank(QQ) - 1
+    else:
+        raise ValueError(f"unsupported descriptor {type(g).__name__}")
+    return MdegValue(value=value, provenance="exact-theorem", exactness="exact")
 
 
 def asymptotic_leading(g: GroupDescriptor) -> tuple[int, int]:
@@ -327,7 +327,7 @@ def asymptotic_leading(g: GroupDescriptor) -> tuple[int, int]:
     return (inv.rho[0], inv.d)
 
 
-def growth_table(g, n_max: int, window: int = 3) -> GrowthReport:
+def growth_table(g, n_max: int) -> GrowthReport:
     """Rows for every prime power n <= n_max, with group/module metadata.
 
     The fiber at each prime p <= n_max is reduced once, into the profile
@@ -353,7 +353,7 @@ def growth_table(g, n_max: int, window: int = 3) -> GrowthReport:
             )
             n, k = n * p, k + 1
     rows.sort(key=lambda r: r.n)
-    mdeg_val = mdeg(expanded, window) if is_group else None
+    mdeg_val = mdeg(expanded) if is_group else None
     asym = asymptotic_leading(expanded) if isinstance(expanded, ZkByZ) else None
     gtype = None
     if isinstance(g, Presented):

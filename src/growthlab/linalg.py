@@ -70,7 +70,8 @@ def mat_apply(F, A, v):
     for row in A:
         acc = F.zero
         for a, x in zip(row, v):
-            acc = F.add(acc, F.mul(a, x))
+            if a != F.zero:
+                acc = F.add(acc, F.mul(a, x))
         out.append(acc)
     return out
 
@@ -169,16 +170,23 @@ def solve(F, rows, b, ncols=None):
 
 
 def min_poly_of_vector(F, A, v):
-    """Monic minimal g with g(A) v = 0, by Krylov iteration."""
-    n = len(A)
-    krylov = []  # rows are v, Av, A^2 v, ...
+    """Monic minimal g with g(A) v = 0, by Krylov iteration: each A^m v is
+    reduced against an echelon basis of the earlier ones, whose rows carry
+    their coordinates in v, Av, ..., so no system is solved twice."""
+    basis = []  # (pivot, row with 1 at the pivot, its Krylov coordinates)
     cur = list(v)
     while True:
-        # is cur in the span of krylov?
-        coeffs = solve(F, [[krylov[j][i] for j in range(len(krylov))] for i in range(n)], cur, len(krylov))
-        if coeffs is not None:
-            return pnormalize([F.neg(c) for c in coeffs] + [F.one])
-        krylov.append(cur)
+        row, coords = cur, [F.zero] * len(basis) + [F.one]
+        for piv, b, bc in basis:
+            f = row[piv]
+            if f != F.zero:
+                row = [F.sub(x, F.mul(f, y)) for x, y in zip(row, b)]
+                coords = [F.sub(x, F.mul(f, y)) for x, y in zip(coords, bc)] + coords[len(bc):]
+        piv = next((i for i, x in enumerate(row) if x != F.zero), None)
+        if piv is None:
+            return pnormalize(coords)
+        inv = F.inv(row[piv])
+        basis.append((piv, [F.mul(inv, x) for x in row], [F.mul(inv, c) for c in coords]))
         cur = mat_apply(F, A, cur)
 
 
@@ -205,7 +213,11 @@ class SmithResult:
 
     diagonal: tuple
     rank: int
-    bad_primes: frozenset = frozenset()
+    logged: frozenset = frozenset()  # a Q[x] form's ledger integers, unfactored
+
+    @property
+    def bad_primes(self) -> frozenset:
+        return frozenset(p for v in self.logged for p in factorint(v))
 
 
 def smith_normal_form_int(rows, ncols=None) -> SmithResult:
@@ -271,7 +283,7 @@ def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
     matrices of x^2 - 3x + 1 and x^2 - 33x + 1 the ledger is empty, yet at
     p = 2, 3, 5 the mod-p form has two quadratic factors where the Q[x] form
     has one quartic.  Counts at p therefore take the SNF over F_p at each p
-    and need no ledger.
+    and need no ledger.  Its integers are factored only when `bad_primes` is read.
     """
     m, n = _shape(rows, ncols)
     A = [[pnormalize(list(e)) for e in r] for r in rows]
@@ -348,13 +360,8 @@ def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
                 diag[i], diag[i + 1] = g, lcm
                 changed = True
 
-    bad: set[int] = set()
-    for v in logged:
-        bad.update(factorint(v))
     return SmithResult(
-        diagonal=tuple(tuple(d) for d in diag),
-        rank=len(diag),
-        bad_primes=frozenset(bad),
+        diagonal=tuple(tuple(d) for d in diag), rank=len(diag), logged=frozenset(logged)
     )
 
 

@@ -13,7 +13,7 @@ In one variable (a Presented module, or a MatrixAction with one action A,
 which is coker(xI - A) over Z[x]) the fiber is an F_p[x]-module, and the
 profile is read off its F_p[x] invariant factors.  With two or more actions,
 joint_spectrum splits the fiber into primary components of the commuting
-algebra.
+algebra.  module_invariants reads the generic fiber in characteristic 0.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .poly import (
     peval,
     pmod,
     pnormalize,
+    squarefree_part,
 )
 
 def _as_matrix_tuple(m):
@@ -219,13 +220,18 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class ModuleInvariants:
+    """Simple quotients of the fiber at a generic prime: d is their largest
+    multiplicity, d_nt the largest among the nontrivial ones, t that of the
+    trivial one.  a are the Q[x] invariant factors read (rho: distinct complex
+    roots of each); s0, r0 a Presented module's torsion and free rank."""
+
     d: int
+    d_nt: int
     t: int
     a: tuple[tuple[int, ...], ...]
     rho: tuple[int, ...]
     s0: int | None
     r0: int | None
-    provenance: str  # "exact" | "window-stabilized"
 
 
 @dataclass(frozen=True)
@@ -586,68 +592,76 @@ def _smith_over_qx(m: Presented):
     return smith_normal_form_poly(QQ, rows, ncols=len(rows[0]) if rows else 0)
 
 
-def bad_prime_ledger_module(m: ModuleDescriptor) -> frozenset[int]:
-    """Finite superset of the primes where the fiber can differ from the
-    generic (characteristic-0) behavior."""
-    bad: set[int] = set()
-    if isinstance(m, Presented):
-        return _smith_over_qx(m).bad_primes
-    for t in m.torsion:
-        bad.update(factorint(t))
-    for blk in m.free_blocks():
-        det = _abs_det(blk)
-        if det > 1:
-            bad.update(factorint(det))
-        snf = smith_normal_form_poly(QQ, x_minus_matrix(QQ, [list(r) for r in blk]), ncols=m.k)
-        bad.update(snf.bad_primes)
-    return frozenset(bad)
+def _generic_operator(blocks, k):
+    """(c, sigma): c = sum_i lambda_i A_i acting on the top W of Q^k under
+    the commuting A_i and generating the algebra they induce there; sigma =
+    sum_i lambda_i is its value on the trivial quotient.
+
+    W = Q^k / sum_i im r_i(A_i), r_i the squarefree part of A_i's min poly.
+    The r_i(A_i) are nilpotent and, in characteristic 0, generate the
+    nilradical N of R = Q[A_1..A_l] (Jordan-Chevalley).  So W = Q^k / N Q^k
+    is a faithful module over S = R/N = prod_j K_j, number fields, and
+    W = (+)_j K_j^(s_j): at a generic p the primes of K_j over p are simple
+    quotients of multiplicity s_j.  W is worked on as its dual, the common
+    kernel of the r_i(A_i)^T, where the A_i^T act with the same invariant
+    factors.
+
+    c generates S iff deg minpoly(c) = dim S, which fails iff c takes one
+    value at two of the dim S points of Spec(S (x) C).  Each such pair is a
+    nonzero linear condition on lambda, as the A_i generate S: a hyperplane,
+    which the moment curve lambda_i = j^i meets at most l - 1 times with
+    j >= 1 (sum_i a_i j^i is j times a polynomial of degree l - 1).  So the
+    walk j = 1, 2, ... ends.  Then S = prod_j Q[x]/(h_j), the h_j distinct
+    irreducibles, and c has invariant factors b_i = prod {h_j : s_j > d - i},
+    i = 1..d, d = max s_j.
+    """
+    rows = []
+    for A in blocks:
+        nil = poly_of_matrix(QQ, squarefree_part(QQ, min_poly_of_matrix(QQ, A)), A)
+        rows.extend([nil[r][c] for r in range(k)] for c in range(k))
+    dual = kernel_basis(QQ, rows, k)
+    mats = [_restrict(QQ, [list(col) for col in zip(*A)], dual, k) for A in blocks]
+    w = len(dual)
+    dim_s = len(_algebra_basis(QQ, mats, w))
+    j = 1
+    while True:
+        lam = [j ** i for i in range(1, len(blocks) + 1)]
+        c = [[sum(x * M[r][s] for x, M in zip(lam, mats)) for s in range(w)] for r in range(w)]
+        if pdeg(min_poly_of_matrix(QQ, c)) == dim_s:
+            return c, sum(lam)
+        j += 1
 
 
-def module_invariants(m: ModuleDescriptor, window: int = 3) -> ModuleInvariants:
+def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
+    """Characteristic-zero invariants of m, read off the Q[x] invariant
+    factors b_1 | ... | b_s of one operator on its top, plus r0 free summands.
+
+    A Presented module takes its relation matrix, r0 its free rank.  A
+    MatrixAction takes xI - A on its free part, A its one action or the
+    _generic_operator of two or more.  A monic irreducible h has multiplicity
+    r0 + #{i : h | b_i}, largest for h | b_1, so d = r0 + s.  The b_i that
+    are not a power of x - sigma, sigma the trivial eigenvalue, are those
+    divisible by a nontrivial h: d_nt, or d when t = 0.  t is the dimension
+    over Q modulo x - 1, or modulo the images of every A_i - I.
+    """
     if isinstance(m, Presented):
-        snf = _smith_over_qx(m)
-        a = tuple(
-            tuple(int(c) for c in d) for d in snf.diagonal if pdeg(d) >= 1
-        )
+        snf, sigma = _smith_over_qx(m), 1
         r0 = m.gens - snf.rank
-        s0 = len(a)
-        rel_at_1 = [
-            [sum(int(c) for c in e) for e in row] for row in m.relations
-        ] or [[] for _ in range(m.gens)]
-        t = m.gens - smith_normal_form_int(rel_at_1, ncols=len(rel_at_1[0]) if rel_at_1 else 0).rank
-        rho = tuple(distinct_complex_root_count(list(d)) for d in a)
-        return ModuleInvariants(
-            d=r0 + s0, t=t, a=a, rho=rho, s0=s0, r0=r0, provenance="exact"
-        )
-    k = m.k
-    stacked = []
-    for blk in m.free_blocks():
-        for r in range(k):
-            stacked.append([blk[r][c] - (1 if r == c else 0) for c in range(k)])
-    t = k - smith_normal_form_int(stacked, ncols=k).rank
-    if m.ell == 1:
-        blk = [list(r) for r in m.free_blocks()[0]]
-        snf = smith_normal_form_poly(QQ, x_minus_matrix(QQ, blk), ncols=k)
-        a = tuple(tuple(int(c) for c in d) for d in snf.diagonal if pdeg(d) >= 1)
-        rho = tuple(distinct_complex_root_count(list(d)) for d in a)
-        return ModuleInvariants(
-            d=len(a), t=t, a=a, rho=rho, s0=None, r0=None, provenance="exact"
-        )
-    # several variables: recover d from joint spectra over a window of good primes
-    bad = bad_prime_ledger_module(m)
-    ds = []
-    p = 2
-    while len(ds) < window:
-        if is_prime(p) and p not in bad:
-            ds.append(max((e.s for e in prime_profile(m, p).entries), default=0))
-        p += 1
-    if len(set(ds)) > 1:
-        raise ValueError(
-            f"window of {window} good primes did not stabilize d (saw {sorted(set(ds))}); "
-            "retry with a larger window"
-        )
+        rel_at_1 = [[sum(e) for e in row] for row in m.relations]
+        t = m.gens - rank(QQ, rel_at_1, len(rel_at_1[0]) if rel_at_1 else 0)
+    else:
+        k, blocks, r0 = m.k, m.free_blocks(), None
+        images = [[blk[r][c] - (r == c) for r in range(k)] for blk in blocks for c in range(k)]
+        t = k - rank(QQ, images, k)
+        op, sigma = (blocks[0], 1) if m.ell == 1 or k == 0 else _generic_operator(blocks, k)
+        snf = smith_normal_form_poly(QQ, x_minus_matrix(QQ, op), ncols=len(op))
+    a = tuple(tuple(int(c) for c in b) for b in snf.diagonal if pdeg(b) >= 1)
+    trivial = sum(1 for b in a if squarefree_part(QQ, list(b)) == [-sigma, 1])
+    d = (r0 or 0) + len(a)
     return ModuleInvariants(
-        d=ds[0], t=t, a=(), rho=(), s0=None, r0=None, provenance="window-stabilized"
+        d=d, d_nt=d - trivial if t else d, t=t, a=a,
+        rho=tuple(distinct_complex_root_count(list(b)) for b in a),
+        s0=None if r0 is None else len(a), r0=r0,
     )
 
 

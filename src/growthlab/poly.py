@@ -93,7 +93,7 @@ class RationalField:
 
     @staticmethod
     def inv(a):
-        return 1 / a
+        return 1 / Fraction(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

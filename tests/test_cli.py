@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -242,6 +243,42 @@ def test_acting_torsion_order_is_checked_without_a_stall(tmp_path, capsys):
     doubling = dict(infinite, actions=[[[2]]], torsion=[9], acting_torsion=[6 * 10 ** 8])
     code, out, _ = _run(["table", _spec(tmp_path, doubling), "--max-n", "5"], capsys)
     assert code == 0 and out.startswith("n,p,k,count,mtriv,mnontriv,exact\n")
+
+
+def test_two_action_mdeg_is_exact(tmp_path, capsys):
+    def block_diag(A, B):
+        return [r + [0] * len(B) for r in A] + [[0] * len(A) + r for r in B]
+
+    pair_a = block_diag([[0, -1], [1, 3]], [[0, -1], [1, 33]])
+    pair_b = block_diag([[1, 1], [4, 5]], [[-5, 1], [-6, 1]])
+    unipotents = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 0], [0, 0, 1]]]
+    for actions, value in ((unipotents, 3), ([pair_a, pair_a], 1), ([pair_b, pair_b], 1)):
+        spec = _spec(tmp_path, {"type": "semidirect", "actions": actions, "acting_rank": 2})
+        code, out, _ = _run(["mdeg", spec], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["mdeg"], doc["provenance"], doc["exactness"]) == (value, "exact-theorem", "exact")
+        code, out, _ = _run(["table", spec, "--max-n", "5"], capsys)
+        assert code == 0 and out.startswith("n,p,k,count,mtriv,mnontriv,exact\n")
+    code, out, _ = _run(["mdeg", _spec(tmp_path, WREATH)], capsys)
+    assert (code, json.loads(out)["exactness"]) == (0, "exact")
+
+
+def test_unimodular_12x12_needs_no_factoring(tmp_path, capsys):
+    # the Q[x] Smith form logs integers too large for a deterministic
+    # primality test; mdeg and table never factor them
+    rng = random.Random(1)
+    A = [[int(r == c) for c in range(12)] for r in range(12)]
+    for _ in range(36):
+        i, j = rng.sample(range(12), 2)
+        m = rng.choice([-2, -1, 1, 2])
+        A[i] = [a + m * b for a, b in zip(A[i], A[j])]
+    assert A[0] == [1, 0, 0, 0, 0, 0, 2, 0, 0, 0, -2, 0]
+    spec = _spec(tmp_path, {"type": "zk_by_z", "matrix": A})
+    code, out, err = _run(["mdeg", spec], capsys)
+    assert (code, err) == (0, "")
+    code, out, err = _run(["table", spec, "--max-n", "5"], capsys)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(

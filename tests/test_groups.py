@@ -6,6 +6,7 @@ import pytest
 from growthlab import groups, modules
 from growthlab.arith import primes_up_to
 from growthlab.groups import (
+    MdegValue,
     NilpotentGf,
     SemidirectFgAbelian,
     WreathCyclic,
@@ -39,8 +40,9 @@ def test_wreath_values():
     for n, v in expected.items():
         assert max_subgroups(g, n) == v, n
     assert max_subgroups(g, 6) == 0
+    # m_p = 2p + 1 at p = 1 mod 3, so the degree 1 is attained
     assert mdeg(g).value == 1
-    assert mdeg(g).exactness == "upper-bound"
+    assert mdeg(g).exactness == "exact"
 
 
 def test_wreath_expand():
@@ -269,3 +271,87 @@ def test_wreath_closed_form(m):
         else:
             expected = (p ** k, k, p, p ** k * n_k, 0, n_k)
         assert (row.n, row.k, row.p, row.count, row.mtriv, row.mnontriv) == expected, (m, row)
+
+
+def _block_diag(A, B):
+    n, m = len(A), len(B)
+    return [list(r) + [0] * m for r in A] + [[0] * n + list(r) for r in B]
+
+
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _unimodular_pair(rng, k):
+    """(U, U^-1) for a product of ten seeded elementary row operations."""
+    U = [[int(r == c) for c in range(k)] for r in range(k)]
+    V = [row[:] for row in U]
+    for _ in range(10):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for row in V:
+            row[j] -= c * row[i]
+    return U, V
+
+
+def _cycle(m, power=1):
+    return [[int(r == (c + power) % m) for c in range(m)] for r in range(m)]
+
+
+# companion(x^2 - 3x + 1) (+) companion(x^2 - 33x + 1), and two blocks with
+# charpolys x^2 - 6x + 1 and x^2 + 4x + 1
+PAIR_A = _block_diag([[0, -1], [1, 3]], [[0, -1], [1, 33]])
+PAIR_B = _block_diag([[1, 1], [4, 5]], [[-5, 1], [-6, 1]])
+UNIPOTENTS = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 0], [0, 0, 1]]]
+C = [[0, -1], [1, -1]]  # companion of x^2 + x + 1, order 3
+C_SQUARED = [[-1, 1], [-1, 0]]
+
+
+def test_mdeg_two_actions_exact():
+    # s = 2 at p = 2, 3, 5 only for PAIR_A, and at some small primes for
+    # PAIR_B: the generic multiplicity is 1
+    for M in (PAIR_A, PAIR_B):
+        g = SemidirectFgAbelian(_ma(4, [M, M]), acting_rank=2, acting_torsion=())
+        assert mdeg(g) == MdegValue(value=1, provenance="exact-theorem", exactness="exact")
+    # the trivial top has dimension t = 2 (not the 1-dimensional common fixed
+    # space): rows p^3 + p^2 + p + 1, degree r + t - 1 = 3
+    g = SemidirectFgAbelian(_ma(3, UNIPOTENTS), acting_rank=2, acting_torsion=())
+    assert mdeg(g).value == 3
+    assert max_subgroups(g, 29) == 29 ** 3 + 29 ** 2 + 29 + 1 == 25260
+
+
+def test_mdeg_finite_acting_group():
+    # max(t - 1, d_nt): C (+) C has no trivial quotient and x^2 + x + 1
+    # twice, so m_p = 2p(p + 1) at p = 1 mod 3
+    g = SemidirectFgAbelian(_ma(4, [_block_diag(C, C)]), acting_rank=0, acting_torsion=(3,))
+    assert mdeg(g).value == 2
+    assert max_subgroups(g, 31) == 2 * 31 * 32
+    # I_3 (+) C: three trivial quotients, so p^2 + p + 1 at p = 2 mod 3
+    g = SemidirectFgAbelian(_ma(5, [_block_diag([[1, 0, 0], [0, 1, 0], [0, 0, 1]], C)]), 0, (3,))
+    assert mdeg(g).value == 2
+    assert max_subgroups(g, 29) == 29 ** 2 + 29 + 1
+
+
+def test_mdeg_is_metamorphic():
+    rng = random.Random(5)
+    # a further torsion generator acting as A or A^2, of the same order,
+    # generates no new algebra: the one-action and two-action paths agree
+    for m in (3, 4, 6, 8, 12):
+        want = mdeg(WreathCyclic(m)).value
+        for power in (1, 2):
+            g = SemidirectFgAbelian(_ma(m, [_cycle(m), _cycle(m, power)]), 0, (m, m))
+            assert mdeg(g).value == want, (m, power)
+    # conjugating every action by a unimodular matrix changes nothing
+    shapes = [
+        (UNIPOTENTS, 2, ()), ([PAIR_A, PAIR_A], 2, ()), ([PAIR_B, PAIR_B], 2, ()),
+        ([_block_diag(I2, C), _block_diag(I2, C_SQUARED)], 0, (3, 3)),
+        ([_block_diag(I2, C), _block_diag(I2, C_SQUARED)], 2, ()),
+        ([_cycle(4), _cycle(4, 2)], 1, (2,)),
+    ]
+    for actions, rank, torsion in shapes:
+        k = len(actions[0])
+        want = mdeg(SemidirectFgAbelian(_ma(k, actions), rank, torsion)).value
+        U, V = _unimodular_pair(rng, k)
+        conjugated = [_mat_mul(_mat_mul(U, A), V) for A in actions]
+        assert mdeg(SemidirectFgAbelian(_ma(k, conjugated), rank, torsion)).value == want

@@ -142,6 +142,18 @@ def test_min_poly_divides_char_and_annihilates():
         assert len(mp) - 1 <= n
 
 
+def test_min_poly_over_q_is_the_last_invariant_factor():
+    # the incremental Krylov min poly against the Q[x] Smith form of xI - A
+    rng = random.Random(4)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:  # a repeated block, so the min poly is a proper factor
+            A = [r + [0] * n for r in A] + [[0] * n + r for r in A]
+        last = smith_normal_form_poly(QQ, x_minus_matrix(QQ, A), len(A)).diagonal[-1]
+        assert min_poly_of_matrix(QQ, A) == list(last), A
+
+
 def test_smith_poly_examples():
     F = PrimeField(2)
     x2x1 = int_poly_to_field(F, [1, 1, 1])

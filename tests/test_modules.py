@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from growthlab.arith import is_prime
 from growthlab.linalg import rank
 from growthlab.modules import (
     FiberModule,
@@ -12,7 +13,6 @@ from growthlab.modules import (
     PresentedFiber,
     PrimeProfile,
     SpectrumEntry,
-    bad_prime_ledger_module,
     chain_count,
     count_max_submodules,
     fiber_mod_p,
@@ -188,7 +188,6 @@ def test_module_invariants_ell1():
     assert inv.d == 1
     assert inv.t == 1
     assert inv.rho == (3,)
-    assert inv.provenance == "exact"
 
 
 def test_module_invariants_presented():
@@ -200,12 +199,11 @@ def test_module_invariants_presented():
     assert invf.r0 == 1 and invf.s0 == 0 and invf.d == 1
 
 
-def test_module_invariants_ell2_window():
+def test_module_invariants_ell2_trivial_top():
     I2 = [[1, 0], [0, 1]]
     m = _ma(2, [I2, I2], group_action=True)
     inv = module_invariants(m)
-    assert inv.d == 2
-    assert inv.provenance == "window-stabilized"
+    assert (inv.d, inv.d_nt, inv.t) == (2, 0, 2)
 
 
 def test_cyclic_bound():
@@ -234,12 +232,6 @@ def test_growth_type_classify():
     assert str(growth_type_classify(zi)) == "bounded"
     zx2 = Presented(gens=2, relations=(((0,), (0,)), ((0,), (0,))))
     assert str(growth_type_classify(zx2)) == "n^2"
-
-
-def test_bad_prime_ledger_module():
-    m = _ma(1, [[[1, 0], [0, 1]]], torsion=(6,))
-    ledger = bad_prime_ledger_module(m)
-    assert {2, 3} <= ledger
 
 
 def _block_diag(A, B):
@@ -396,3 +388,118 @@ def test_one_action_profile_matches_joint_spectrum():
         m = _random_action_with_torsion(rng)
         for p in (2, 3, 5, 7, 1_000_003, 2 ** 31 - 1):
             assert prime_profile(m, p) == _joint_spectrum_profile(m, p), (m, p)
+
+
+# -- characteristic-zero invariants with two or more actions ---------------------
+
+# companion(x^2 - 3x + 1) (+) companion(x^2 - 33x + 1): s = 2 at p = 2, 3, 5 and
+# s = 1 at every other prime up to 60
+PAIR_A = _block_diag(_companion([1, -3, 1]), _companion([1, -33, 1]))
+# charpolys x^2 - 6x + 1 and x^2 + 4x + 1
+PAIR_B = _block_diag([[1, 1], [4, 5]], [[-5, 1], [-6, 1]])
+# E_12 and E_13 unipotents: the common fixed space has dimension 1, the
+# trivial top dimension 2
+UNIPOTENTS = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 0], [0, 0, 1]]]
+I2 = [[1, 0], [0, 1]]
+
+
+def _invariants(m):
+    inv = module_invariants(m)
+    return inv.d, inv.d_nt, inv.t
+
+
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _unimodular_pair(rng, k, ops):
+    """(U, U^-1) for a product of `ops` seeded elementary row operations."""
+    U = [[int(r == c) for c in range(k)] for r in range(k)]
+    V = [row[:] for row in U]
+    for _ in range(ops):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for row in V:
+            row[j] -= c * row[i]
+    return U, V
+
+
+def _commuting_pair(rng, k=4):
+    """Two commuting k x k integer matrices, a_i I + b_i M on each diagonal
+    block M of size 1 or 2, conjugated by a seeded unimodular matrix.  Now
+    and then a block is repeated with its (a_i, b_i), which gives a simple
+    quotient of multiplicity 2 or more."""
+    blocks = []
+    while sum(len(M) for M, _ in blocks) < k:
+        size = rng.choice([1, 2]) if k - sum(len(M) for M, _ in blocks) >= 2 else 1
+        if blocks and len(blocks[-1][0]) == size and rng.random() < 0.4:
+            blocks.append(blocks[-1])
+        else:
+            M = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+            blocks.append((M, [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]))
+    pair = [[[0] * k for _ in range(k)] for _ in range(2)]
+    offset = 0
+    for M, coefficients in blocks:
+        for P, (a, b) in zip(pair, coefficients):
+            for r, row in enumerate(M):
+                for c, x in enumerate(row):
+                    P[offset + r][offset + c] = a * (r == c) + b * x
+        offset += len(M)
+    U, V = _unimodular_pair(rng, k, 8)
+    return [_mat_mul(_mat_mul(U, P), V) for P in pair]
+
+
+def test_two_action_invariants_ignore_small_primes():
+    # s = 2 at p = 2, 3, 5 for PAIR_A, yet the generic multiplicity is 1
+    for M in (PAIR_A, PAIR_B):
+        assert _invariants(_ma(4, [M, M], group_action=True)) == (1, 1, 0)
+
+
+def test_trivial_top_from_the_images():
+    # t is 3 minus the rank of the images of both A_i - I (span of e_1), not
+    # the dimension of the common fixed space
+    assert _invariants(_ma(3, UNIPOTENTS, group_action=True)) == (2, 0, 2)
+    assert prime_profile(_ma(3, UNIPOTENTS), 29).trivial_rank == 2
+    # no trivial quotient, yet c = A_1 + A_2 takes the value 1 + 1 there
+    assert _invariants(_ma(1, [[[2]], [[0]]])) == (1, 1, 0)
+
+
+def test_torsion_only_two_actions_have_no_top():
+    m = _ma(0, [[[2, 0], [0, 1]], [[1, 0], [0, 2]]], torsion=(3, 5))
+    assert _invariants(m) == (0, 0, 0)
+
+
+def test_generic_d_matches_large_primes():
+    # d is the largest multiplicity at every generic prime, and t the
+    # trivial rank there
+    primes = [p for p in range(1_000_003, 1_000_300) if is_prime(p)][:12]
+    rng = random.Random(7)
+    for _ in range(30):
+        m = _ma(4, _commuting_pair(rng))
+        d, _, t = _invariants(m)
+        for p in primes:
+            profile = prime_profile(m, p)
+            assert (max(e.s for e in profile.entries), profile.trivial_rank) == (d, t), (m, p)
+
+
+def test_invariants_are_metamorphic():
+    # appending a polynomial in the actions keeps the algebra, so (d, d_nt, t)
+    # stay, as long as the trivial character stays: A^2 - A + I is 1 where A
+    # is, A^2 + I is 2 there, which leaves no trivial quotient.  Conjugating
+    # every action by a unimodular matrix changes nothing.
+    cases = [UNIPOTENTS, [I2, I2], [_block_diag(I2, C), _block_diag(I2, C_SQUARED)], [PAIR_A, PAIR_A]]
+    rng = random.Random(11)
+    cases += [_commuting_pair(rng) for _ in range(8)]
+    for actions in cases:
+        k = len(actions[0])
+        d, d_nt, t = _invariants(_ma(k, actions))
+        A = actions[0]
+        A2 = _mat_mul(A, A)
+        fixes_trivial = [[A2[r][c] - A[r][c] + (r == c) for c in range(k)] for r in range(k)]
+        moves_trivial = [[A2[r][c] + (r == c) for c in range(k)] for r in range(k)]
+        assert _invariants(_ma(k, actions + [A])) == (d, d_nt, t)
+        assert _invariants(_ma(k, actions + [fixes_trivial])) == (d, d_nt, t)
+        assert _invariants(_ma(k, actions + [moves_trivial])) == (d, d, 0)
+        U, V = _unimodular_pair(rng, k, 10)
+        assert _invariants(_ma(k, [_mat_mul(_mat_mul(U, M), V) for M in actions])) == (d, d_nt, t)
