@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -38,7 +37,7 @@ from .oracle import (
     OracleBoundError,
     oracle_count_max_submodules,
 )
-from .poly import DEFAULT_SEED, count_irreducibles, parse_poly
+from .poly import count_irreducibles, parse_poly
 
 
 class SpecError(ValueError):
@@ -195,21 +194,8 @@ def load_spec(path):
     return parse_spec(doc)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("GROWTHLAB_SEED")
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError as exc:
-            raise SpecError(f"GROWTHLAB_SEED is not an integer: {env!r}") from exc
-    return DEFAULT_SEED
-
-
 def cmd_table(args) -> int:
     desc = load_spec(args.spec)
-    seed = _resolve_seed(args)
     if args.max_n < 2:
         raise SpecError(f"--max-n must be >= 2, got {args.max_n}")
     report = growth_table(desc, args.max_n)
@@ -223,7 +209,7 @@ def cmd_table(args) -> int:
         out = "\n".join(lines) + "\n"
     else:
         # the row and mdeg keys are the dataclass fields, in their order
-        doc = {"seed": seed, "rows": [asdict(r) for r in report.rows], "exactness": report.exactness}
+        doc = {"rows": [asdict(r) for r in report.rows], "exactness": report.exactness}
         if report.mdeg is not None:
             doc["mdeg"] = asdict(report.mdeg)
         if report.asymptotic is not None:
@@ -240,16 +226,13 @@ def cmd_table(args) -> int:
 
 def cmd_mdeg(args) -> int:
     desc = load_spec(args.spec)
-    seed = _resolve_seed(args)
-    doc = {"seed": seed}
-    if isinstance(desc, (ZkByZ, SemidirectFgAbelian, WreathCyclic, NilpotentGf)):
-        result = mdeg(desc)
-        doc.update(mdeg=result.value, provenance=result.provenance, exactness=result.exactness)
-        if isinstance(desc, ZkByZ):
-            doc["rho1"], doc["d"] = asymptotic_leading(desc)
-    else:
+    if not isinstance(desc, (SemidirectFgAbelian, WreathCyclic, NilpotentGf)):
         sys.stderr.write("mdeg applies to group specs, not bare modules\n")
         return 3
+    result = mdeg(desc)
+    doc = {"mdeg": result.value, "provenance": result.provenance, "exactness": result.exactness}
+    if isinstance(desc, ZkByZ):
+        doc["rho1"], doc["d"] = asymptotic_leading(desc)
     sys.stdout.write(json.dumps(doc) + "\n")
     return 0
 
@@ -288,10 +271,9 @@ def cmd_growth_type(args) -> int:
 
 def cmd_check(args) -> int:
     desc = load_spec(args.spec)
-    _resolve_seed(args)  # a malformed GROWTHLAB_SEED is a spec error here too
     if isinstance(desc, WreathCyclic):
         desc = desc.expand()
-    if isinstance(desc, (ZkByZ, SemidirectFgAbelian)):
+    if isinstance(desc, SemidirectFgAbelian):
         module = desc.module
     elif isinstance(desc, MatrixAction):
         module = desc
@@ -344,11 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_max_n=False):
         p.add_argument("spec", help="path to a JSON spec file")
-        p.add_argument(
-            "--seed", type=lambda s: int(s, 0), default=None,
-            help="echoed in JSON output; counts do not depend on it "
-            "(default GROWTHLAB_SEED or 0xC0FFEE)",
-        )
         if needs_max_n:
             p.add_argument("--max-n", type=int, required=True, help="largest index")
 

@@ -1,10 +1,10 @@
 """Group-level maximal subgroup growth for metabelian shapes.
 
-Supported shapes: Z^k-by-Z split extensions (ZkByZ), split extensions of a
-module by a f.g. abelian group (SemidirectFgAbelian), wreath products
-Z wr Z/mZ (sugar for a semidirect descriptor), and the nilpotent groups G_f
-defined by commutator relations [x_i, x_j] = f(i,j) in a central free
-abelian part.
+Supported shapes: split extensions N x| A of a module by a f.g. abelian
+group (SemidirectFgAbelian), with Z^k-by-Z (ZkByZ, A = Z) and the wreath
+products Z wr Z/mZ (WreathCyclic, sugar for A = Z/m) as special cases, and
+the nilpotent groups G_f defined by commutator relations [x_i, x_j] = f(i,j)
+in a central free abelian part.
 
 Counting reduces to the module engine: a maximal subgroup of index n either
 contains the module N (counted in the acting group) or meets it in a maximal
@@ -15,7 +15,7 @@ derivation count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import factorint, is_prime, prime_power_decompose, primes_up_to
 from .linalg import mat_mul, min_poly_of_matrix, rank as mat_rank
@@ -47,21 +47,6 @@ MAX_PRESENTED_GENS = MAX_NILPOTENT_ELL * (MAX_NILPOTENT_ELL + 1) // 2
 # permutation action: `table --max-n 200` took 0.6 s at m = 16, 2.6 s at
 # m = 32 and 20 s at m = 64 (same machine).
 MAX_WREATH_ORDER = 32
-
-
-@dataclass(frozen=True)
-class ZkByZ:
-    """Z^k (+) torsion, extended by Z acting through one automorphism."""
-
-    module: MatrixAction
-
-    def __post_init__(self):
-        if not isinstance(self.module, MatrixAction):
-            raise ValueError("ZkByZ requires a MatrixAction module")
-        if self.module.ell != 1:
-            raise ValueError("ZkByZ module must have exactly one action")
-        if not self.module.group_action:
-            raise ValueError("ZkByZ action must be a group action (invertible)")
 
 
 @dataclass(frozen=True)
@@ -101,6 +86,15 @@ class SemidirectFgAbelian:
                     f"acting torsion generator {i} has order {order} but its "
                     "action matrix does not"
                 )
+
+
+@dataclass(frozen=True)
+class ZkByZ(SemidirectFgAbelian):
+    """Z^k (+) torsion, extended by Z acting through one automorphism: N x| A
+    with A = Z.  ZkByZ(module) fixes the acting group."""
+
+    acting_rank: int = field(default=1, init=False)
+    acting_torsion: tuple[int, ...] = field(default=(), init=False)
 
 
 def _has_finite_order(block) -> bool:
@@ -206,7 +200,7 @@ class NilpotentGf:
         return self.ell + self.k - mat_rank(F, fm, self.k)
 
 
-GroupDescriptor = ZkByZ | SemidirectFgAbelian | WreathCyclic | NilpotentGf
+GroupDescriptor = SemidirectFgAbelian | WreathCyclic | NilpotentGf
 
 
 @dataclass(frozen=True)
@@ -257,10 +251,9 @@ def _profile(g, p: int) -> PrimeProfile:
     if isinstance(g, NilpotentGf):
         u = g.abelian_rank(PrimeField(p))
         return PrimeProfile(
-            p=p, entries=(SpectrumEntry(e=1, s=u, component_dim=u),),
-            generic_rank=0, trivial_rank=u,
+            p=p, entries=(SpectrumEntry(e=1, s=u),), generic_rank=0, trivial_rank=u,
         )
-    if isinstance(g, (ZkByZ, SemidirectFgAbelian)):
+    if isinstance(g, SemidirectFgAbelian):
         return prime_profile(g.module, p)
     raise ValueError(f"unsupported descriptor {type(g).__name__}")
 
@@ -268,8 +261,6 @@ def _profile(g, p: int) -> PrimeProfile:
 def _group_count(g, profile: PrimeProfile, k: int) -> int:
     """Maximal subgroups of index p^k of g, read from the profile at p."""
     p = profile.p
-    if isinstance(g, ZkByZ):
-        return (1 if k == 1 else 0) + p ** k * profile.count(k)
     if isinstance(g, SemidirectFgAbelian):
         mtriv, mnontriv = profile.split(k)
         if k == 1:
@@ -298,12 +289,12 @@ def mdeg(g: GroupDescriptor) -> MdegValue:
     With A finite it is max(t - 1, d_nt): at a generic p the trivial
     quotients give p^(t-1) subgroups, and every nontrivial simple quotient of
     multiplicity s gives q^s at a positive density of primes (Chebotarev).
+    For ZkByZ (r = 1) this is d: t, the number of invariant factors of
+    xI - A divisible by x - 1, is at most d, the number of non-unit ones.
     """
     if isinstance(g, WreathCyclic):
         g = g.expand()
-    if isinstance(g, ZkByZ):
-        value = module_invariants(g.module).d
-    elif isinstance(g, SemidirectFgAbelian):
+    if isinstance(g, SemidirectFgAbelian):
         inv = module_invariants(g.module)
         if g.acting_rank:
             value = max(g.acting_rank + inv.t - 1, inv.d)
@@ -335,7 +326,7 @@ def growth_table(g, n_max: int) -> GrowthReport:
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    is_group = isinstance(g, (ZkByZ, SemidirectFgAbelian, WreathCyclic, NilpotentGf))
+    is_group = isinstance(g, (SemidirectFgAbelian, WreathCyclic, NilpotentGf))
     expanded = g.expand() if isinstance(g, WreathCyclic) else g
     rows = []
     profiles = {}

@@ -46,7 +46,6 @@ from .poly import (
     factor_mod_p,
     int_poly_to_field,
     pdeg,
-    pdivmod,
     peval,
     pmod,
     pnormalize,
@@ -211,11 +210,10 @@ class PresentedFiber:
 @dataclass(frozen=True, order=True)
 class SpectrumEntry:
     """One maximal ideal of the fiber algebra: residue field F_{p^e},
-    multiplicity s, dimension of the primary component it came from."""
+    multiplicity s."""
 
     e: int
     s: int
-    component_dim: int
 
 
 @dataclass(frozen=True)
@@ -354,7 +352,7 @@ def _leaf_entry(F, irreducibles, dim):
     qdim = dim - rank(F, nil_images, dim)
     e = math.lcm(*(len(g) - 1 for g, _ in irreducibles))
     assert qdim >= 1 and qdim % e == 0
-    return SpectrumEntry(e=e, s=qdim // e, component_dim=dim)
+    return SpectrumEntry(e=e, s=qdim // e)
 
 
 def _frobenius_fixed_space(F, alg, dim):
@@ -419,10 +417,10 @@ def _spectrum_of_component(F, mats, dim, out):
 def joint_spectrum(fiber: FiberModule) -> tuple[SpectrumEntry, ...]:
     """Maximal ideals of the algebra generated by the fiber actions.
 
-    Each entry (e, s, component_dim) contributes (q^s - 1)/(q - 1) maximal
-    submodules of index q = p^e.  prime_profile calls it for two or more
-    actions only; with one action it is the reference that the F_p[x]
-    invariant-factor profile is tested against.
+    Each entry (e, s) contributes (q^s - 1)/(q - 1) maximal submodules of
+    index q = p^e.  prime_profile calls it for two or more actions only;
+    with one action it is the reference that the F_p[x] invariant-factor
+    profile is tested against.
     """
     F = PrimeField(fiber.p)
     mats = [list(map(list, a)) for a in fiber.actions]
@@ -471,34 +469,19 @@ class PrimeProfile:
         return mtriv, total - mtriv
 
 
-def _valuation(F, b, g):
-    """Multiplicity of g in a nonzero b."""
-    v = 0
-    while True:
-        quo, rem = pdivmod(F, b, g)
-        if rem:
-            return v
-        b, v = quo, v + 1
-
-
 def _chain_profile(p, factors, free_rank):
     """Profile of (+)_j F_p[x]/(b_j) (+) F_p[x]^free_rank, b_1 | ... | b_t.
 
     Every irreducible g dividing some b_j divides b_t, so factoring b_t alone
-    finds them; g has multiplicity free_rank + #{j : g | b_j}.  An entry's
-    component_dim is the dimension of the g-primary part of the torsion.
-    The power of g in b_t comes with the factorization; only the smaller
-    b_j are divided by g.
+    finds them; g has multiplicity free_rank + #{j : g | b_j}, and only
+    b_1 ... b_(t-1) need a division.
     """
     F = PrimeField(p)
     entries = []
     if factors:
-        for g, power in factor_mod_p(factors[-1], p).factors:
-            vals = [_valuation(F, b, list(g)) for b in factors[:-1]] + [power]
-            e = len(g) - 1
-            entries.append(SpectrumEntry(
-                e=e, s=free_rank + sum(1 for v in vals if v), component_dim=e * sum(vals),
-            ))
+        for g, _ in factor_mod_p(factors[-1], p).factors:
+            divides = 1 + sum(1 for b in factors[:-1] if not pmod(F, b, list(g)))
+            entries.append(SpectrumEntry(e=len(g) - 1, s=free_rank + divides))
     return PrimeProfile(
         p=p,
         entries=tuple(sorted(entries)),
@@ -632,6 +615,7 @@ def _generic_operator(blocks, k):
         j += 1
 
 
+@functools.lru_cache(maxsize=None)
 def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
     """Characteristic-zero invariants of m, read off the Q[x] invariant
     factors b_1 | ... | b_s of one operator on its top, plus r0 free summands.
@@ -642,7 +626,8 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
     r0 + #{i : h | b_i}, largest for h | b_1, so d = r0 + s.  The b_i that
     are not a power of x - sigma, sigma the trivial eigenvalue, are those
     divisible by a nontrivial h: d_nt, or d when t = 0.  t is the dimension
-    over Q modulo x - 1, or modulo the images of every A_i - I.
+    over Q modulo x - 1, or modulo the images of every A_i - I.  Cached:
+    mdeg and asymptotic_leading both read it.
     """
     if isinstance(m, Presented):
         snf, sigma = _smith_over_qx(m), 1

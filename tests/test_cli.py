@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -6,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
 from pathlib import Path
 
@@ -13,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import growthlab
+from growthlab import modules
 from growthlab.cli import SpecError, main, parse_spec
 from growthlab.groups import MAX_NILPOTENT_ELL, MAX_PRESENTED_GENS, MAX_WREATH_ORDER
-from growthlab.poly import MAX_EXPONENT
+from growthlab.poly import MAX_EXPONENT, QQ
 
 
 WREATH = {"type": "wreath_cyclic", "m": 3}
@@ -91,7 +95,6 @@ def test_table_json(tmp_path, capsys):
     code, out, _ = _run(["table", spec, "--max-n", "10", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["seed"] == 0xC0FFEE
     assert any(r["n"] == 7 and r["count"] == 15 for r in doc["rows"])
 
 
@@ -356,6 +359,27 @@ def test_parse_spec_raises_only_spec_errors(kind, data):
         pass
 
 
+_FUZZ_COMMANDS = [
+    ["mdeg"], ["asymptote"], ["growth-type"], ["table", "--max-n", "12"], ["check", "--max-n", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", _FUZZ_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("kind", sorted(_SPEC_DOCS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_main_exits_with_a_documented_code(kind, argv, data):
+    doc = data.draw(_SPEC_DOCS[kind])
+    command, *options = argv
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, path, *options])
+    assert code in (0, 2, 3, 4)
+
+
 def test_irreducibles(capsys):
     code, out, _ = _run(["irreducibles", "--p", "2", "--k", "4"], capsys)
     assert code == 0
@@ -364,18 +388,22 @@ def test_irreducibles(capsys):
     assert out2.strip() == "5"
 
 
-def test_seed_precedence(tmp_path, capsys, monkeypatch):
-    spec = _spec(tmp_path, WREATH)
-    monkeypatch.setenv("GROWTHLAB_SEED", "0x123")
-    code, out, _ = _run(["table", spec, "--max-n", "5", "--format", "json"], capsys)
-    assert json.loads(out)["seed"] == 0x123
-    code, out, _ = _run(
-        ["table", spec, "--max-n", "5", "--format", "json", "--seed", "7"], capsys
-    )
-    assert json.loads(out)["seed"] == 7
-    monkeypatch.delenv("GROWTHLAB_SEED")
-    code, out, _ = _run(["table", spec, "--max-n", "5", "--format", "json"], capsys)
-    assert json.loads(out)["seed"] == 0xC0FFEE
+def test_zk_by_z_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
+    # mdeg and the asymptote read the same cached module_invariants
+    calls = []
+    smith = modules.smith_normal_form_poly
+
+    def counted(F, rows, ncols):
+        calls.append(F is QQ)
+        return smith(F, rows, ncols)
+
+    monkeypatch.setattr(modules, "smith_normal_form_poly", counted)
+    spec = _spec(tmp_path, ZKZ)
+    for argv in (["mdeg", spec], ["table", spec, "--max-n", "20"]):
+        modules.module_invariants.cache_clear()
+        calls.clear()
+        code, _, _ = _run(argv, capsys)
+        assert code == 0 and calls.count(True) == 1, argv
 
 
 def test_deterministic_output(tmp_path):

@@ -1,9 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
-from growthlab import groups, modules
+from growthlab import cli, groups, modules
 from growthlab.arith import primes_up_to
 from growthlab.groups import (
     MdegValue,
@@ -59,6 +60,14 @@ def test_zk_by_z():
     assert max_subgroups(g, 4) == 4  # 0 + 4*1 (one F_4 point)
     m = mdeg(g)
     assert m.value == 1 and m.exactness == "exact"
+    # N x| Z: the semidirect checks validate the module, the acting group is fixed
+    assert isinstance(g, SemidirectFgAbelian) and (g.acting_rank, g.acting_torsion) == (1, ())
+    assert "__post_init__" not in vars(ZkByZ)
+    with pytest.raises(TypeError):
+        ZkByZ(_ma(3, [CYCLE3]), 2)
+    for module in (_ma(3, [CYCLE3, CYCLE3]), _ma(3, [CYCLE3], group_action=False)):
+        with pytest.raises(ValueError):
+            ZkByZ(module)
 
 
 def test_zk_by_z_identity_vs_cycle():
@@ -355,3 +364,35 @@ def test_mdeg_is_metamorphic():
         U, V = _unimodular_pair(rng, k)
         conjugated = [_mat_mul(_mat_mul(U, A), V) for A in actions]
         assert mdeg(SemidirectFgAbelian(_ma(k, conjugated), rank, torsion)).value == want
+
+
+# zk_by_z specs: the 3-cycle, a rotation of order 4, a hyperbolic matrix, a
+# Jordan block, the identity, and an action on Z^2 (+) Z/5; then seeded
+# unimodular matrices
+ZK_SPECS = [
+    {"matrix": CYCLE3},
+    {"matrix": [[0, -1], [1, 0]]},
+    {"matrix": [[2, 1], [1, 1]]},
+    {"matrix": [[1, 1], [0, 1]]},
+    {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    {"matrix": [[0, -1, 0], [1, 0, 0], [0, 0, 2]], "torsion": [5]},
+] + [{"matrix": _random_unimodular(random.Random(seed), 2 + seed % 3)} for seed in range(6)]
+
+
+@pytest.mark.parametrize("spec", ZK_SPECS)
+def test_zk_by_z_is_semidirect_of_acting_rank_one(spec, tmp_path, capsys):
+    # Z^k x|_A Z is N x| A with A = Z: the same counts, mdeg and table rows
+    matrix, torsion = spec["matrix"], spec.get("torsion", [])
+    module = _ma(len(matrix) - len(torsion), [matrix], torsion)
+    zk, semi = ZkByZ(module), SemidirectFgAbelian(module, 1, ())
+    p = 2 ** 31 - 1
+    for n in [*range(2, 201), p, p * p]:
+        assert max_subgroups(zk, n) == max_subgroups(semi, n), n
+    assert mdeg(zk) == mdeg(semi)
+    tables = []
+    for doc in ({"type": "zk_by_z", **spec}, {"type": "semidirect", "actions": [matrix], "torsion": torsion, "acting_rank": 1}):
+        path = tmp_path / f"{doc['type']}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["table", str(path), "--max-n", "200"]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]

@@ -249,7 +249,7 @@ def test_non_local_algebra_with_primary_generators(p):
     # C (+) C^2 are each primary, but their joint algebra is F_{p^2} x F_{p^2};
     # at p = 11 it has p^4 = 14641 elements, past any small exhaustive scan
     m = _ma(4, [_block_diag(C, C), _block_diag(C, C_SQUARED)])
-    assert joint_spectrum(fiber_mod_p(m, p)) == (SpectrumEntry(2, 1, 2),) * 2
+    assert joint_spectrum(fiber_mod_p(m, p)) == (SpectrumEntry(2, 1),) * 2
     assert count_max_submodules(m, p * p) == 2
 
 
@@ -259,7 +259,7 @@ def test_local_field_near_2_61():
     C3 = [[0, 0, -2], [1, 0, -2], [0, 1, 0]]  # companion of x^3 + 2x + 2
     C3_SQUARED_PLUS_ONE = [[1, -2, 0], [0, -1, -2], [1, 0, -1]]
     m = _ma(3, [C3, C3_SQUARED_PLUS_ONE])
-    assert joint_spectrum(fiber_mod_p(m, p)) == (SpectrumEntry(3, 1, 3),)
+    assert joint_spectrum(fiber_mod_p(m, p)) == (SpectrumEntry(3, 1),)
     assert count_max_submodules(m, p ** 3) == 1
 
 
@@ -288,11 +288,16 @@ def test_tensor_leaf_past_the_oracle():
         _kron(I2, _companion(irreducible(lambda c: [c, 1, 0, 1]))),
     ]
     m = _ma(6, actions)
-    assert joint_spectrum(fiber_mod_p(m, p)) == (SpectrumEntry(6, 1, 6),)
+    assert joint_spectrum(fiber_mod_p(m, p)) == (SpectrumEntry(6, 1),)
     assert [count_max_submodules(m, p ** k) for k in range(1, 7)] == [0, 0, 0, 0, 0, 1]
     twice = _ma(12, [_block_diag(a, a) for a in actions])
-    assert joint_spectrum(fiber_mod_p(twice, p)) == (SpectrumEntry(6, 2, 12),)
+    assert joint_spectrum(fiber_mod_p(twice, p)) == (SpectrumEntry(6, 2),)
     assert count_max_submodules(twice, p ** 6) == p ** 6 + 1
+    # three diagonal copies: multiplicity 3, (q^3 - 1)/(q - 1) at q = p^6
+    thrice = _ma(18, [_block_diag(_block_diag(a, a), a) for a in actions])
+    assert joint_spectrum(fiber_mod_p(thrice, p)) == (SpectrumEntry(6, 3),)
+    q = p ** 6
+    assert count_max_submodules(thrice, q) == q ** 2 + q + 1
 
 
 def test_determinism():
@@ -316,13 +321,13 @@ def test_profile_of_direct_sum_past_the_oracle():
     jordan_squared = [[1, 2, 0], [0, 1, 0], [0, 0, 1]]
     m = prime_profile(_ma(3, [minus_cycle, cycle_squared]), p)
     n = prime_profile(_ma(3, [jordan, jordan_squared]), p)
-    assert (m.entries, m.trivial_rank) == ((SpectrumEntry(1, 1, 1), SpectrumEntry(2, 1, 2)), 0)
-    assert (n.entries, n.trivial_rank) == ((SpectrumEntry(1, 2, 3),), 2)
+    assert (m.entries, m.trivial_rank) == ((SpectrumEntry(1, 1), SpectrumEntry(2, 1)), 0)
+    assert (n.entries, n.trivial_rank) == ((SpectrumEntry(1, 2),), 2)
     total = prime_profile(
         _ma(6, [_block_diag(minus_cycle, jordan), _block_diag(cycle_squared, jordan_squared)]), p
     )
     assert total.entries == tuple(sorted(m.entries + n.entries))
-    assert total.entries == (SpectrumEntry(1, 1, 1), SpectrumEntry(1, 2, 3), SpectrumEntry(2, 1, 2))
+    assert total.entries == (SpectrumEntry(1, 1), SpectrumEntry(1, 2), SpectrumEntry(2, 1))
     assert total.trivial_rank == m.trivial_rank + n.trivial_rank
     for k in (1, 2, 3):
         assert total.count(k) == m.count(k) + n.count(k)
