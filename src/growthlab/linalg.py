@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorint
 from .poly import (
     PrimeField,
     gcd_over_field,
@@ -213,11 +212,6 @@ class SmithResult:
 
     diagonal: tuple
     rank: int
-    logged: frozenset = frozenset()  # a Q[x] form's ledger integers, unfactored
-
-    @property
-    def bad_primes(self) -> frozenset:
-        return frozenset(p for v in self.logged for p in factorint(v))
 
 
 def smith_normal_form_int(rows, ncols=None) -> SmithResult:
@@ -274,36 +268,16 @@ def smith_normal_form_int(rows, ncols=None) -> SmithResult:
 def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
     """SNF over F[x], F = Q or F_p.  Entries are coefficient lists.
 
-    Over Q the result carries a bad-prime ledger: every prime dividing a
-    numerator or denominator of a pivot's leading coefficient, a cleared
-    denominator, or the leading coefficient of a final diagonal entry.  Off
-    this ledger the rank, and so the free rank of the cokernel, is the same
-    mod p.  The invariant factors need not be: the step that enforces the
-    divisibility chain logs no primes, and for xI - A with A the companion
-    matrices of x^2 - 3x + 1 and x^2 - 33x + 1 the ledger is empty, yet at
-    p = 2, 3, 5 the mod-p form has two quadratic factors where the Q[x] form
-    has one quartic.  Counts at p therefore take the SNF over F_p at each p
-    and need no ledger.  Its integers are factored only when `bad_primes` is read.
+    The Q[x] form of a matrix over Z[x] need not reduce mod p to its F_p[x]
+    form: for xI - A with A the companion matrices of x^2 - 3x + 1 and
+    x^2 - 33x + 1 the Q[x] form has one quartic factor, yet at p = 2, 3, 5
+    the F_p[x] form has two quadratic ones.  Counts at p therefore take the
+    form over F_p at each p.
     """
     m, n = _shape(rows, ncols)
     A = [[pnormalize(list(e)) for e in r] for r in rows]
-    over_q = not isinstance(F, PrimeField)
-    logged: set[int] = set()
-
-    def log_scalar(c):
-        if over_q:
-            q = Fraction(c)
-            for v in (abs(q.numerator), q.denominator):
-                if v > 1:
-                    logged.add(v)
-
-    if over_q:
+    if not isinstance(F, PrimeField):
         A = [[[Fraction(c) for c in e] for e in r] for r in A]
-        for r in A:
-            for e in r:
-                for c in e:
-                    if c.denominator > 1:
-                        logged.add(c.denominator)
 
     diag = []
     top = 0
@@ -320,17 +294,12 @@ def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
         for row in A:
             row[top], row[bj] = row[bj], row[top]
         piv = A[top][top]
-        log_scalar(piv[-1])
         dirty = False
         for i in range(top + 1, m):
             if A[i][top]:
                 q, r = pdivmod(F, A[i][top], piv)
                 for j in range(top, n):
                     A[i][j] = psub(F, A[i][j], pmul(F, q, A[top][j]))
-                if over_q:
-                    for c in (x for e in A[i][top:] for x in e):
-                        if c.denominator > 1:
-                            logged.add(c.denominator)
                 if A[i][top]:
                     dirty = True
         for j in range(top + 1, n):
@@ -338,15 +307,10 @@ def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
                 q, r = pdivmod(F, A[top][j], piv)
                 for i in range(top, m):
                     A[i][j] = psub(F, A[i][j], pmul(F, q, A[i][top]))
-                if over_q:
-                    for c in (x for i2 in range(top, m) for x in A[i2][j]):
-                        if c.denominator > 1:
-                            logged.add(c.denominator)
                 if A[top][j]:
                     dirty = True
         if dirty:
             continue
-        log_scalar(piv[-1])
         diag.append(pmonic(F, piv))
         top += 1
 
@@ -360,9 +324,7 @@ def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
                 diag[i], diag[i + 1] = g, lcm
                 changed = True
 
-    return SmithResult(
-        diagonal=tuple(tuple(d) for d in diag), rank=len(diag), logged=frozenset(logged)
-    )
+    return SmithResult(diagonal=tuple(tuple(d) for d in diag), rank=len(diag))
 
 
 def x_minus_matrix(F, A):

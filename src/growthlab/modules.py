@@ -568,13 +568,6 @@ def split_triv_nontriv(m: ModuleDescriptor, n: int) -> tuple[int, int]:
 # -- invariants and classification ----------------------------------------------
 
 
-def _smith_over_qx(m: Presented):
-    """Smith normal form over Q[x] of m's relation matrix, with its ledger of
-    bad primes."""
-    rows = [[[*e] for e in row] for row in m.relations]
-    return smith_normal_form_poly(QQ, rows, ncols=len(rows[0]) if rows else 0)
-
-
 def _generic_operator(blocks, k):
     """(c, sigma): c = sum_i lambda_i A_i acting on the top W of Q^k under
     the commuting A_i and generating the algebra they induce there; sigma =
@@ -627,10 +620,11 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
     are not a power of x - sigma, sigma the trivial eigenvalue, are those
     divisible by a nontrivial h: d_nt, or d when t = 0.  t is the dimension
     over Q modulo x - 1, or modulo the images of every A_i - I.  Cached:
-    mdeg and asymptotic_leading both read it.
+    mdeg, asymptotic_leading and the growth type all read it.
     """
     if isinstance(m, Presented):
-        snf, sigma = _smith_over_qx(m), 1
+        rows = [[[*e] for e in row] for row in m.relations]
+        snf, sigma = smith_normal_form_poly(QQ, rows, ncols=len(rows[0]) if rows else 0), 1
         r0 = m.gens - snf.rank
         rel_at_1 = [[sum(e) for e in row] for row in m.relations]
         t = m.gens - rank(QQ, rel_at_1, len(rel_at_1[0]) if rel_at_1 else 0)
@@ -659,12 +653,28 @@ def growth_type_classify(m: ModuleDescriptor) -> GrowthType:
 
 
 def _growth_type(m: Presented, free_rank_at) -> GrowthType:
-    """growth_type_classify, given the free rank of the fiber at a prime."""
-    snf = _smith_over_qx(m)
-    r0 = m.gens - snf.rank
-    s0 = sum(1 for d in snf.diagonal if pdeg(d) >= 1)
-    d = r0 + s0
-    r_max = max([r0] + [free_rank_at(p) for p in sorted(set(snf.bad_primes) | {2, 3})])
+    """growth_type_classify, given the free rank of the fiber at a prime.
+
+    r_max, the largest free rank of N/pN over all primes p, is certified by
+    the integer Smith form of the relation matrix R at one point.  Let
+    r = gens - r0 be the rank of R over Q(x).  Some r x r minor of R is a
+    nonzero polynomial with finitely many roots, so the walk x0 = 0, 1, 2, ...
+    reaches an R(x0) of rank r.  Its invariant factors d_1 | ... | d_r
+    multiply to the gcd of its r x r minors, so if p does not divide d_r,
+    some r x r minor of R(x0) is a unit mod p.  That minor of R is then
+    nonzero mod p, and every larger minor is 0 already over Z, so R mod p
+    has rank r over F_p(x) and the fiber's free rank at p is r0.  Hence
+    r_max is r0 or the free rank at a prime of d_r.
+    """
+    inv = module_invariants(m)
+    d, r0 = inv.d, inv.r0
+    r_max, x0 = r0, 0
+    while r0 < m.gens:
+        snf = smith_normal_form_int([[peval(QQ, e, x0) for e in row] for row in m.relations])
+        if snf.rank == m.gens - r0:
+            r_max = max([r0] + [free_rank_at(p) for p in sorted(factorint(snf.diagonal[-1]))])
+            break
+        x0 += 1
     if d > r_max:
         return GrowthType(kind="PolyDegree", degree=d - 1, d=d, r_max=r_max, r0=r0)
     if d == r_max == r0:

@@ -19,7 +19,7 @@ import growthlab
 from growthlab import modules
 from growthlab.cli import SpecError, main, parse_spec
 from growthlab.groups import MAX_NILPOTENT_ELL, MAX_PRESENTED_GENS, MAX_WREATH_ORDER
-from growthlab.poly import MAX_EXPONENT, QQ
+from growthlab.poly import MAX_EXPONENT, QQ, poly_to_str
 
 
 WREATH = {"type": "wreath_cyclic", "m": 3}
@@ -268,8 +268,9 @@ def test_two_action_mdeg_is_exact(tmp_path, capsys):
 
 
 def test_unimodular_12x12_needs_no_factoring(tmp_path, capsys):
-    # the Q[x] Smith form logs integers too large for a deterministic
-    # primality test; mdeg and table never factor them
+    # the Q[x] Smith form of xI - A meets integers too large for a
+    # deterministic primality test; no command factors them, whether the
+    # module is given by A or presented by the columns of xI - A
     rng = random.Random(1)
     A = [[int(r == c) for c in range(12)] for r in range(12)]
     for _ in range(36):
@@ -280,6 +281,16 @@ def test_unimodular_12x12_needs_no_factoring(tmp_path, capsys):
     spec = _spec(tmp_path, {"type": "zk_by_z", "matrix": A})
     code, out, err = _run(["mdeg", spec], capsys)
     assert (code, err) == (0, "")
+    code, out, err = _run(["table", spec, "--max-n", "5"], capsys)
+    assert (code, err) == (0, "")
+    relations = [
+        [poly_to_str([-A[r][j], 1] if r == j else [-A[r][j]]) for r in range(12)]
+        for j in range(12)
+    ]
+    spec = _spec(tmp_path, {"type": "module_presented", "gens": 12, "relations": relations})
+    code, out, err = _run(["growth-type", spec], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["growth_type"] == "bounded"
     code, out, err = _run(["table", spec, "--max-n", "5"], capsys)
     assert (code, err) == (0, "")
 
@@ -388,8 +399,8 @@ def test_irreducibles(capsys):
     assert out2.strip() == "5"
 
 
-def test_zk_by_z_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
-    # mdeg and the asymptote read the same cached module_invariants
+def _assert_one_qx_smith_form(monkeypatch, capsys, commands):
+    """Each command exits 0 after exactly one Smith form over Q[x]."""
     calls = []
     smith = modules.smith_normal_form_poly
 
@@ -398,12 +409,23 @@ def test_zk_by_z_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
         return smith(F, rows, ncols)
 
     monkeypatch.setattr(modules, "smith_normal_form_poly", counted)
-    spec = _spec(tmp_path, ZKZ)
-    for argv in (["mdeg", spec], ["table", spec, "--max-n", "20"]):
+    for argv in commands:
         modules.module_invariants.cache_clear()
         calls.clear()
         code, _, _ = _run(argv, capsys)
         assert code == 0 and calls.count(True) == 1, argv
+
+
+def test_zk_by_z_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
+    # mdeg and the asymptote read the same cached module_invariants
+    spec = _spec(tmp_path, ZKZ)
+    _assert_one_qx_smith_form(monkeypatch, capsys, [["mdeg", spec], ["table", spec, "--max-n", "20"]])
+
+
+def test_presented_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
+    # the growth type reads r0 and d off the cached module_invariants
+    spec = _spec(tmp_path, {"type": "module_presented", "gens": 2, "relations": [["x", "2"], ["4", "2x"]]})
+    _assert_one_qx_smith_form(monkeypatch, capsys, [["growth-type", spec], ["table", spec, "--max-n", "20"]])
 
 
 def test_deterministic_output(tmp_path):

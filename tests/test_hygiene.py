@@ -1,7 +1,10 @@
-"""Static checks on the growthlab sources: no unused top-level import, and no
-private top-level function that nothing in the package calls."""
+"""Static checks on the growthlab sources: no unused top-level import, no
+private top-level function that nothing in the package calls, and every
+function the benchmark hooks into still exists."""
 
 import ast
+import functools
+import importlib
 from pathlib import Path
 
 import growthlab
@@ -48,3 +51,26 @@ def test_every_private_function_is_called():
                 if fn.name not in _referenced(elsewhere):
                     orphans.append(f"{name}: {fn.name}")
     assert not orphans, f"private functions referenced nowhere in the package: {orphans}"
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/tracer.py rebinds the TRACED functions and perfbench/child.py
+    # calls a few more; read TRACED without importing the benchmark
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    assign = next(
+        s for s in ast.parse(tracer.read_text()).body
+        if isinstance(s, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in s.targets)
+    )
+    hooks = list(ast.literal_eval(assign.value)) + [
+        "modules.joint_spectrum.cache_info",
+        "cli.load_spec",
+        "modules.count_max_submodules",
+    ]
+    missing = []
+    for path in hooks:
+        module, *attrs = path.split(".")
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"growthlab.{module}"))
+        except (ImportError, AttributeError):
+            missing.append(path)
+    assert not missing, f"benchmark hooks missing from growthlab: {missing}"

@@ -234,6 +234,35 @@ def test_growth_type_classify():
     assert str(growth_type_classify(zx2)) == "n^2"
 
 
+def test_growth_type_r_max_is_certified():
+    # r_max is the largest free rank of a fiber over every prime; the
+    # brute-force maximum over p <= 300 must agree with it
+    primes = [p for p in range(2, 301) if is_prime(p)]
+    rng = random.Random(5)
+    coefficients = [0, 1, -1, 2, -2, 3, 4, 6]
+    for _ in range(200):
+        gens, nrel = rng.randint(1, 3), rng.randint(0, 3)
+        relations = tuple(
+            tuple(tuple(rng.choice(coefficients) for _ in range(rng.randint(1, 4))) for _ in range(nrel))
+            for _ in range(gens)
+        ) if nrel else ()
+        m = Presented(gens=gens, relations=relations)
+        r0 = module_invariants(m).r0
+        brute = max([r0] + [fiber_mod_p(m, p).free_rank for p in primes])
+        assert growth_type_classify(m).r_max == brute, m
+    # a free-rank jump only at q = 1000003, far past any small prime; the
+    # relation (x, x) vanishes at x = 0, so the walk goes on to x = 1
+    q = 1000003
+    cases = [
+        (Presented(gens=2, relations=(((1,), (0, 1)), ((0, 1), (q, 0, 1)))), "n^1/log n", 1),
+        (Presented(gens=1, relations=(((0, q),),)), "n^1/log n", 1),
+        (Presented(gens=2, relations=(((0, 1),), ((0, 1),))), "n^1", 1),
+    ]
+    for m, kind, r_max in cases:
+        gt = growth_type_classify(m)
+        assert (str(gt), gt.r_max) == (kind, r_max), m
+
+
 def _block_diag(A, B):
     n, m = len(A), len(B)
     return [list(r) + [0] * m for r in A] + [[0] * n + list(r) for r in B]
@@ -508,3 +537,16 @@ def test_invariants_are_metamorphic():
         assert _invariants(_ma(k, actions + [moves_trivial])) == (d, d, 0)
         U, V = _unimodular_pair(rng, k, 10)
         assert _invariants(_ma(k, [_mat_mul(_mat_mul(U, M), V) for M in actions])) == (d, d_nt, t)
+
+
+def test_profile_is_invariant_under_conjugation():
+    # conjugating every action by one unimodular U keeps the module, so the
+    # profile is the same at every prime, past the oracle's p^dim <= 81
+    rng = random.Random(13)
+    for _ in range(12):
+        pair = _commuting_pair(rng)
+        U, V = _unimodular_pair(rng, 4, 10)
+        for actions in (pair[:1], pair):
+            conjugated = [_mat_mul(_mat_mul(U, M), V) for M in actions]
+            for p in (2, 3, 5, 1_000_003, 2 ** 31 - 1):
+                assert prime_profile(_ma(4, actions), p) == prime_profile(_ma(4, conjugated), p), (actions, p)
