@@ -656,25 +656,31 @@ def _growth_type(m: Presented, free_rank_at) -> GrowthType:
     """growth_type_classify, given the free rank of the fiber at a prime.
 
     r_max, the largest free rank of N/pN over all primes p, is certified by
-    the integer Smith form of the relation matrix R at one point.  Let
-    r = gens - r0 be the rank of R over Q(x).  Some r x r minor of R is a
-    nonzero polynomial with finitely many roots, so the walk x0 = 0, 1, 2, ...
-    reaches an R(x0) of rank r.  Its invariant factors d_1 | ... | d_r
-    multiply to the gcd of its r x r minors, so if p does not divide d_r,
-    some r x r minor of R(x0) is a unit mod p.  That minor of R is then
-    nonzero mod p, and every larger minor is 0 already over Z, so R mod p
-    has rank r over F_p(x) and the fiber's free rank at p is r0.  Hence
-    r_max is r0 or the free rank at a prime of d_r.
+    integer Smith forms of the relation matrix R at a few points.  Let
+    r = gens - r0 be the rank of R over Q(x); R(x0) has rank r at all but
+    finitely many integers x0.  At such a point the invariant factors
+    d_1 | ... | d_r multiply to the gcd of the r x r minors of R(x0), so if
+    p does not divide d_r, one of them is a unit mod p.  That minor of R is
+    then nonzero mod p, and every larger minor is 0 already over Z, so R mod
+    p has rank r over F_p(x) and the fiber's free rank at p is r0.  Hence
+    r_max is r0 or the free rank at a prime of g, the gcd of d_r over any
+    full-rank points.  One d_r can be as large as the coefficients (|f(x0)|
+    for a monic f), so the walk x0 = 0, 1, 2, ... takes r * deg R + 1 such
+    points, or stops at g = 1.  A prime of g above the last x0 then divides
+    every r x r minor of R, of degree <= r * deg R, at more distinct points
+    than its degree, so it is a true jump.
     """
     inv = module_invariants(m)
     d, r0 = inv.d, inv.r0
-    r_max, x0 = r0, 0
-    while r0 < m.gens:
-        snf = smith_normal_form_int([[peval(QQ, e, x0) for e in row] for row in m.relations])
+    points = 1 + (m.gens - r0) * max((pdeg(e) for row in m.relations for e in row), default=0)
+    g, x0 = 0, 0
+    while r0 < m.gens and g != 1 and points:
+        at_x0 = [[functools.reduce(lambda v, c: v * x0 + c, reversed(e), 0) for e in row] for row in m.relations]
+        snf = smith_normal_form_int(at_x0)
         if snf.rank == m.gens - r0:
-            r_max = max([r0] + [free_rank_at(p) for p in sorted(factorint(snf.diagonal[-1]))])
-            break
+            g, points = math.gcd(g, snf.diagonal[-1]), points - 1
         x0 += 1
+    r_max = max([r0] + [free_rank_at(p) for p in sorted(factorint(g or 1))])
     if d > r_max:
         return GrowthType(kind="PolyDegree", degree=d - 1, d=d, r_max=r_max, r0=r0)
     if d == r_max == r0:

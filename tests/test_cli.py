@@ -296,6 +296,26 @@ def test_unimodular_12x12_needs_no_factoring(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "relation, commands",
+    [
+        # N is past the deterministic primality range; x + N is N at x = 0
+        # and N + 1 at x = 1, whose gcd is 1
+        ("x + 100000000000880000000001887", (["growth-type"], ["table", "--max-n", "5"])),
+        # 2^512 - 2 at x = 2 has a cofactor past that range; the gcd of
+        # n^512 - n over the points taken is 2
+        ("x^512 - x", (["growth-type"],)),
+    ],
+)
+def test_growth_type_factors_no_single_point_value(tmp_path, capsys, relation, commands):
+    spec = _spec(tmp_path, {"type": "module_presented", "gens": 1, "relations": [relation]})
+    for command in commands:
+        code, out, err = _run([command[0], spec, *command[1:]], capsys)
+        assert (code, err) == (0, "")
+    code, out, _ = _run(["growth-type", spec], capsys)
+    assert json.loads(out)["growth_type"] == "bounded"
+
+
+@pytest.mark.parametrize(
     "doc, message",
     [
         ({"type": "module_presented", "gens": 1, "relations": [[5]]}, "relations[0] must contain only polynomial strings"),
