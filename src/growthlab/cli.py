@@ -62,8 +62,6 @@ def _require(doc, field, kind, typename):
         raise SpecError(f"field '{field}' must be an integer")
     if kind is list and not isinstance(value, list):
         raise SpecError(f"field '{field}' must be an array")
-    if kind is dict and not isinstance(value, dict):
-        raise SpecError(f"field '{field}' must be an object")
     return value
 
 

@@ -25,8 +25,7 @@ from .modules import (
     GrowthType,
     PrimeProfile,
     SpectrumEntry,
-    _growth_type,
-    fiber_mod_p,
+    growth_type_classify,
     module_invariants,
     prime_profile,
 )
@@ -329,9 +328,8 @@ def growth_table(g, n_max: int) -> GrowthReport:
     is_group = isinstance(g, (SemidirectFgAbelian, WreathCyclic, NilpotentGf))
     expanded = g.expand() if isinstance(g, WreathCyclic) else g
     rows = []
-    profiles = {}
     for p in primes_up_to(n_max):
-        profile = profiles[p] = _profile(expanded, p) if is_group else prime_profile(g, p)
+        profile = _profile(expanded, p) if is_group else prime_profile(g, p)
         n, k = p, 1
         while n <= n_max:
             count = _group_count(expanded, profile, k) if is_group else profile.count(k)
@@ -346,12 +344,7 @@ def growth_table(g, n_max: int) -> GrowthReport:
     rows.sort(key=lambda r: r.n)
     mdeg_val = mdeg(expanded) if is_group else None
     asym = asymptotic_leading(expanded) if isinstance(expanded, ZkByZ) else None
-    gtype = None
-    if isinstance(g, Presented):
-        # a Presented profile's generic rank is the free rank of its fiber
-        gtype = _growth_type(
-            g, lambda p: profiles[p].generic_rank if p in profiles else fiber_mod_p(g, p).free_rank
-        )
+    gtype = growth_type_classify(g) if isinstance(g, Presented) else None
     exactness = mdeg_val.exactness if mdeg_val else "exact"
     return GrowthReport(
         rows=tuple(rows),

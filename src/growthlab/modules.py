@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .arith import factorint, is_prime, prime_power_decompose
+from .arith import is_prime, prime_power_decompose, primes_up_to
 from .linalg import (
     identity_matrix,
     kernel_basis,
@@ -56,18 +56,18 @@ def _as_matrix_tuple(m):
     return tuple(tuple(int(x) for x in row) for row in m)
 
 
-def _abs_det(A):
-    """|det A| of a square integer matrix, from its Smith normal form."""
-    snf = smith_normal_form_int(A, ncols=len(A))
-    return math.prod(snf.diagonal) if snf.rank == len(A) else 0
-
-
 @dataclass(frozen=True)
 class MatrixAction:
     """Z^k (+) (+)_j Z/t_j with l commuting integer matrices acting on it.
 
     Matrix columns are the images of the generators: the first k columns are
-    the free generators, the rest the torsion generators in order.
+    the free generators, the rest the torsion generators in order.  With
+    group_action, each action must be an automorphism.  One integer Smith
+    form per action checks it: an onto endomorphism of a finitely generated
+    module over a commutative Noetherian ring is one-to-one (Vasconcelos
+    1969), and the action is onto iff its columns together with the torsion
+    relations t_j e_(k+j) have only unit invariant factors, k + #torsion
+    of them.
     """
 
     k: int
@@ -121,25 +121,16 @@ class MatrixAction:
                     )
 
     def _check_automorphism(self, a, idx):
-        k = self.k
-        free_block = [row[:k] for row in a[:k]]
-        if k and _abs_det(free_block) != 1:
-            raise ValueError(
-                f"actions[{idx}] is not invertible on the free part (group_action)"
-            )
-        qs = set()
-        for t in self.torsion:
-            qs.update(factorint(t))
-        for q in sorted(qs):
-            idxs = [j for j, t in enumerate(self.torsion) if t % q == 0]
-            F = PrimeField(q)
-            block = [
-                [F.from_int(a[k + r][k + c]) for c in idxs] for r in idxs
-            ]
-            if rank(F, block, len(idxs)) != len(idxs):
-                raise ValueError(
-                    f"actions[{idx}] is not an automorphism of the torsion mod {q}"
-                )
+        # a is one-to-one once it is onto (Vasconcelos 1969), and onto iff
+        # its columns and the torsion relations t_j e_(k+j) span Z^dim
+        dim, k = len(a), self.k
+        spanning = [
+            list(row) + [t * (r == k + j) for j, t in enumerate(self.torsion)]
+            for r, row in enumerate(a)
+        ]
+        snf = smith_normal_form_int(spanning, ncols=dim + len(self.torsion))
+        if snf.diagonal != (1,) * dim:
+            raise ValueError(f"actions[{idx}] is not an automorphism (group_action)")
 
     @property
     def ell(self) -> int:
@@ -646,41 +637,44 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
 
 def growth_type_classify(m: ModuleDescriptor) -> GrowthType:
     """Growth trichotomy for a presented Z[x]-module: polynomial of degree
-    d or d-1, or n^r_max/log n."""
-    if not isinstance(m, Presented):
-        raise ValueError("growth_type_classify requires a Presented module")
-    return _growth_type(m, lambda p: fiber_mod_p(m, p).free_rank)
-
-
-def _growth_type(m: Presented, free_rank_at) -> GrowthType:
-    """growth_type_classify, given the free rank of the fiber at a prime.
+    d or d-1, or n^r_max/log n.
 
     r_max, the largest free rank of N/pN over all primes p, is certified by
-    integer Smith forms of the relation matrix R at a few points.  Let
-    r = gens - r0 be the rank of R over Q(x); R(x0) has rank r at all but
-    finitely many integers x0.  At such a point the invariant factors
-    d_1 | ... | d_r multiply to the gcd of the r x r minors of R(x0), so if
-    p does not divide d_r, one of them is a unit mod p.  That minor of R is
-    then nonzero mod p, and every larger minor is 0 already over Z, so R mod
-    p has rank r over F_p(x) and the fiber's free rank at p is r0.  Hence
-    r_max is r0 or the free rank at a prime of g, the gcd of d_r over any
-    full-rank points.  One d_r can be as large as the coefficients (|f(x0)|
-    for a monic f), so the walk x0 = 0, 1, 2, ... takes r * deg R + 1 such
-    points, or stops at g = 1.  A prime of g above the last x0 then divides
-    every r x r minor of R, of degree <= r * deg R, at more distinct points
-    than its degree, so it is a true jump.
+    integer Smith forms of the relation matrix R at the points x0 = 0..B,
+    with r = gens - r0 the rank of R over Q(x) and B = r * deg R.  The free
+    rank at p is at least gens - i iff every (i+1)-minor of R vanishes mod
+    p.  At x0 the invariant factors d_1 | d_2 | ... of R(x0) multiply to the
+    gcd of its minors, so every (i+1)-minor of R(x0) vanishes mod p iff p
+    divides d_(i+1)(x0), taken as 0 past the rank of R(x0).  Let G_i be the
+    gcd of d_(i+1)(x0) over the points, so G_0 | G_1 | ... | G_(r-1).  A
+    minor has degree <= B, and it vanishes mod p > B iff it does at the
+    B + 1 points, which are distinct mod p: so for p > B the free rank is at
+    least gens - i iff p divides G_i.  Every jump above r0 needs p | G_(r-1);
+    the walk stops once G_(r-1) = 1.  The primes <= B dividing G_(r-1) take
+    their fiber's free rank.  With h what is left of G_(r-1) once those
+    primes are divided out, the largest jump above B is gens - i for the
+    least i with gcd(G_i, h) > 1.  Nothing is factored.
     """
+    if not isinstance(m, Presented):
+        raise ValueError("growth_type_classify requires a Presented module")
     inv = module_invariants(m)
     d, r0 = inv.d, inv.r0
-    points = 1 + (m.gens - r0) * max((pdeg(e) for row in m.relations for e in row), default=0)
-    g, x0 = 0, 0
-    while r0 < m.gens and g != 1 and points:
+    r = m.gens - r0
+    bound = r * max((pdeg(e) for row in m.relations for e in row), default=0)
+    gcds, x0 = [0] * r, 0
+    while r and gcds[-1] != 1 and x0 <= bound:
         at_x0 = [[functools.reduce(lambda v, c: v * x0 + c, reversed(e), 0) for e in row] for row in m.relations]
-        snf = smith_normal_form_int(at_x0)
-        if snf.rank == m.gens - r0:
-            g, points = math.gcd(g, snf.diagonal[-1]), points - 1
+        diagonal = smith_normal_form_int(at_x0).diagonal + (0,) * r
+        gcds = [math.gcd(g, e) for g, e in zip(gcds, diagonal)]
         x0 += 1
-    r_max = max([r0] + [free_rank_at(p) for p in sorted(factorint(g or 1))])
+    r_max, h = r0, gcds[-1] if r else 1
+    if h != 1:
+        for q in primes_up_to(bound):
+            if h % q == 0:
+                r_max = max(r_max, fiber_mod_p(m, q).free_rank)
+                while h % q == 0:
+                    h //= q
+        r_max = max(r_max, next((m.gens - i for i, g in enumerate(gcds) if math.gcd(g, h) > 1), r0))
     if d > r_max:
         return GrowthType(kind="PolyDegree", degree=d - 1, d=d, r_max=r_max, r0=r0)
     if d == r_max == r0:

@@ -16,7 +16,9 @@ from fractions import Fraction
 
 from .arith import is_prime, mobius
 
-DEFAULT_SEED = 0xC0FFEE
+# Seed of the random elements that Cantor-Zassenhaus splits with, so each
+# factorization takes the same steps on every run.
+_SPLIT_SEED = 0xC0FFEE
 
 # Largest exponent parse_poly accepts.  A polynomial is a dense coefficient
 # list, and a table factors each relation over F_p at every prime, at a cost
@@ -277,7 +279,7 @@ class FactorizationModP:
         return sum(1 for coeffs, _ in self.factors if len(coeffs) - 1 == k)
 
 
-def factor_mod_p(f, p: int, rng: random.Random | None = None) -> FactorizationModP:
+def factor_mod_p(f, p: int) -> FactorizationModP:
     """Irreducible factorization of f over F_p.
 
     Squarefree decomposition, then distinct-degree splitting, then
@@ -289,8 +291,7 @@ def factor_mod_p(f, p: int, rng: random.Random | None = None) -> FactorizationMo
     fbar = int_poly_to_field(F, f) if f and isinstance(f[0], int) else pnormalize(f)
     if not fbar:
         raise ValueError("polynomial vanishes mod p (content divisible by p)")
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED)
+    rng = random.Random(_SPLIT_SEED)
     unit = fbar[-1]
     fbar = pmonic(F, fbar)
     found: dict[tuple[int, ...], int] = {}
@@ -356,10 +357,6 @@ def _equal_degree_split(F, g, d, rng):
     if pdeg(g) == d:
         return [g]
     p = F.p
-    if p ** pdeg(g) <= 2 ** 16 and d == 1:
-        # deterministic root scan
-        roots = [a for a in range(p) if peval(F, g, a) == 0]
-        return [[F.neg(a), F.one] for a in roots]
     while True:
         a = [F.from_int(rng.randrange(p)) for _ in range(pdeg(g))]
         a = pnormalize(a)

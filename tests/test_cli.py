@@ -315,6 +315,59 @@ def test_growth_type_factors_no_single_point_value(tmp_path, capsys, relation, c
     assert json.loads(out)["growth_type"] == "bounded"
 
 
+# N = 10000000000037 * 10000000000051 is past the deterministic primality
+# range; no certificate factors it
+BIG_SEMIPRIME = 100000000000880000000001887
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [
+        # N x: the fiber at each prime of N is F_p[x], free of rank 1
+        [f"{BIG_SEMIPRIME}x"],
+        # determinant N: rank 1 mod each prime of N
+        [["1", "x"], ["x", f"x^2 + {BIG_SEMIPRIME}"]],
+    ],
+)
+def test_growth_type_r_max_at_a_large_semiprime(tmp_path, capsys, relations):
+    spec = _spec(tmp_path, {"type": "module_presented", "gens": len(relations), "relations": relations})
+    code, out, err = _run(["growth-type", spec], capsys)
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["growth_type"], json.loads(out)["r_max"]) == ("n^1/log n", 1)
+    code, out, err = _run(["table", spec, "--max-n", "5"], capsys)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "doc, commands",
+    [
+        (
+            {"type": "zk_by_z", "matrix": [[1, 0], [0, 1]], "torsion": [BIG_SEMIPRIME]},
+            (["mdeg"], ["table", "--max-n", "5"]),
+        ),
+        (
+            {"type": "module_matrix", "actions": [[[1, 0], [0, 1]]], "torsion": [BIG_SEMIPRIME], "group_action": True},
+            (["table", "--max-n", "5"],),
+        ),
+    ],
+)
+def test_group_action_with_a_large_semiprime_torsion(tmp_path, capsys, doc, commands):
+    spec = _spec(tmp_path, doc)
+    for command, *options in commands:
+        code, _, err = _run([command, spec, *options], capsys)
+        assert (code, err) == (0, ""), command
+
+
+def test_group_action_refusal_names_the_action(tmp_path, capsys):
+    # 3 is not a unit mod 9, and 2 is not a unit on the free part
+    for doc in (
+        {"type": "module_matrix", "actions": [[[1, 0], [0, 3]]], "torsion": [9], "group_action": True},
+        {"type": "zk_by_z", "matrix": [[2]]},
+    ):
+        code, out, err = _run(["table", _spec(tmp_path, doc), "--max-n", "5"], capsys)
+        assert (code, out, err) == (2, "", "spec error: actions[0] is not an automorphism (group_action)\n")
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -409,6 +462,42 @@ def test_main_exits_with_a_documented_code(kind, argv, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([command, path, *options])
     assert code in (0, 2, 3, 4)
+
+
+@st.composite
+def _valid_zk_by_z(draw):
+    """An accepted zk_by_z spec: a unimodular free block made from at most
+    four elementary row operations on I, free columns mapped anywhere, and
+    +-1 on the diagonal of the torsion block."""
+    k = draw(st.integers(0, 3))
+    torsion = draw(st.lists(st.sampled_from([2, 3, 4, 6, 9]), min_size=1 if k == 0 else 0, max_size=2))
+    dim = k + len(torsion)
+    A = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    for _ in range(draw(st.integers(0, 4)) if k >= 2 else 0):
+        i, j = draw(st.permutations(range(k)))[:2]
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        A[i][:k] = [a + c * b for a, b in zip(A[i][:k], A[j][:k])]
+    for r in range(dim):
+        if r < k and draw(st.booleans()):
+            A[r] = [-a for a in A[r]]
+        elif r >= k:
+            A[r][:k] = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+            A[r][r] = draw(st.sampled_from([-1, 1]))
+    return {"type": "zk_by_z", "matrix": A, "torsion": torsion}
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=_valid_zk_by_z())
+def test_valid_group_specs_yield_mdeg_and_table(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (["mdeg", path], ["table", path, "--max-n", "30"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, err.getvalue()) == (0, ""), (argv, doc)
 
 
 def test_irreducibles(capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growthlab.arith import is_prime
+from growthlab.arith import factorint, is_prime
 from growthlab.linalg import rank
 from growthlab.modules import (
     FiberModule,
@@ -258,6 +258,13 @@ def test_growth_type_r_max_is_certified():
         (Presented(gens=1, relations=(((0, q),),)), "n^1/log n", 1),
         (Presented(gens=2, relations=(((0, 1),), ((0, 1),))), "n^1", 1),
     ]
+    # N = 10000000000037 * 10000000000051 is past the deterministic
+    # primality range, and the certificate does not factor it
+    big = 100000000000880000000001887
+    cases += [
+        (Presented(gens=2, relations=(((1,), (0, 1)), ((0, 1), (big, 0, 1)))), "n^1/log n", 1),
+        (Presented(gens=1, relations=(((0, big),),)), "n^1/log n", 1),
+    ]
     for m, kind, r_max in cases:
         gt = growth_type_classify(m)
         assert (str(gt), gt.r_max) == (kind, r_max), m
@@ -412,6 +419,56 @@ def _random_action_with_torsion(rng):
                 t_r, t_c = torsion[r - k], torsion[c - k]
                 A[r][c] = rng.randint(-3, 3) * (t_r // math.gcd(t_r, t_c))
     return _ma(k, [A], torsion=torsion)
+
+
+def _det(M):
+    if not M:
+        return 1
+    return sum((-1) ** c * M[0][c] * _det([r[:c] + r[c + 1:] for r in M[1:]]) for c in range(len(M)))
+
+
+def _automorphism_per_prime(m):
+    """The reference criterion: |det| = 1 on the free block, and for each
+    prime q of the torsion, the block of rows and columns j with q | t_j is
+    invertible mod q."""
+    k, a = m.k, m.actions[0]
+    if _det([row[:k] for row in a[:k]]) not in (1, -1):
+        return False
+    for q in {q for t in m.torsion for q in factorint(t)}:
+        idxs = [k + j for j, t in enumerate(m.torsion) if t % q == 0]
+        if _det([[a[r][c] for c in idxs] for r in idxs]) % q == 0:
+            return False
+    return True
+
+
+def test_group_action_matches_per_prime_criterion():
+    # endomorphisms of Z^k (+) (+)_j Z/t_j, k <= 3; half of them start from a
+    # unit-diagonal matrix, so both verdicts are common
+    rng = random.Random(8)
+    verdicts = []
+    for _ in range(2400):
+        k = rng.randint(0, 3)
+        torsion = [rng.choice([2, 3, 4, 6, 8, 9, 12, 25, 27]) for _ in range(rng.randint(1 if k == 0 else 0, 3))]
+        dim, near_unit = k + len(torsion), rng.random() < 0.5
+        A = [[rng.choice([-1, 1]) if near_unit and r == c else 0 for c in range(dim)] for r in range(dim)]
+        for r in range(dim):
+            for c in range(dim):
+                if rng.random() < (0.3 if near_unit else 1):
+                    if c < k:
+                        A[r][c] += rng.randint(-2, 2)
+                    elif r >= k:
+                        t_r, t_c = torsion[r - k], torsion[c - k]
+                        A[r][c] += rng.randint(-2, 2) * (t_r // math.gcd(t_r, t_c))
+        m = _ma(k, [A], torsion=torsion)
+        try:
+            _ma(k, [A], torsion=torsion, group_action=True)
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "actions[0] is not an automorphism (group_action)"
+            accepted = False
+        assert accepted == _automorphism_per_prime(m), m
+        verdicts.append(accepted)
+    assert 400 <= sum(verdicts) <= 2000
 
 
 def test_one_action_profile_matches_joint_spectrum():
