@@ -43,7 +43,9 @@ from .poly import (
     PrimeField,
     count_irreducibles,
     distinct_complex_root_count,
+    distinct_degree_factorization,
     factor_mod_p,
+    gcd_over_field,
     int_poly_to_field,
     pdeg,
     peval,
@@ -463,16 +465,25 @@ class PrimeProfile:
 def _chain_profile(p, factors, free_rank):
     """Profile of (+)_j F_p[x]/(b_j) (+) F_p[x]^free_rank, b_1 | ... | b_t.
 
-    Every irreducible g dividing some b_j divides b_t, so factoring b_t alone
-    finds them; g has multiplicity free_rank + #{j : g | b_j}, and only
-    b_1 ... b_(t-1) need a division.
+    Only the degrees of the irreducibles are read, never the irreducibles:
+    distinct-degree factorization of rad(b_t) gives G_d, the product of the
+    degree-d irreducibles that divide some b_j, as each divides b_t.  Let
+    c_j = deg gcd(G_d, b_j) / d, the number of them that divide b_j, and
+    c_0 = 0.  By the chain an irreducible dividing b_j divides b_j ... b_t,
+    so c_1 <= ... <= c_t = deg G_d / d, and exactly c_j - c_(j-1) of them
+    divide b_j but not b_(j-1).  Each of those divides t - j + 1 of the b's,
+    so has multiplicity free_rank + t - j + 1.
     """
     F = PrimeField(p)
+    t = len(factors)
     entries = []
     if factors:
-        for g, _ in factor_mod_p(factors[-1], p).factors:
-            divides = 1 + sum(1 for b in factors[:-1] if not pmod(F, b, list(g)))
-            entries.append(SpectrumEntry(e=len(g) - 1, s=free_rank + divides))
+        for d, g in distinct_degree_factorization(F, squarefree_part(F, factors[-1])):
+            prev = 0
+            for j, b in enumerate(factors, start=1):
+                c = pdeg(g) // d if j == t else pdeg(gcd_over_field(F, g, b)) // d
+                entries += [SpectrumEntry(e=d, s=free_rank + t - j + 1)] * (c - prev)
+                prev = c
     return PrimeProfile(
         p=p,
         entries=tuple(sorted(entries)),
@@ -626,11 +637,12 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
         op, sigma = (blocks[0], 1) if m.ell == 1 or k == 0 else _generic_operator(blocks, k)
         snf = smith_normal_form_poly(QQ, x_minus_matrix(QQ, op), ncols=len(op))
     a = tuple(tuple(int(c) for c in b) for b in snf.diagonal if pdeg(b) >= 1)
-    trivial = sum(1 for b in a if squarefree_part(QQ, list(b)) == [-sigma, 1])
+    rho = tuple(distinct_complex_root_count(list(b)) for b in a)
+    # b is a power of x - sigma iff it has one distinct root and sigma is one
+    trivial = sum(1 for b, roots in zip(a, rho) if roots == 1 and peval(QQ, list(b), sigma) == 0)
     d = (r0 or 0) + len(a)
     return ModuleInvariants(
-        d=d, d_nt=d - trivial if t else d, t=t, a=a,
-        rho=tuple(distinct_complex_root_count(list(b)) for b in a),
+        d=d, d_nt=d - trivial if t else d, t=t, a=a, rho=rho,
         s0=None if r0 is None else len(a), r0=r0,
     )
 

@@ -9,6 +9,7 @@ argument.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -21,10 +22,11 @@ from .arith import is_prime, mobius
 _SPLIT_SEED = 0xC0FFEE
 
 # Largest exponent parse_poly accepts.  A polynomial is a dense coefficient
-# list, and a table factors each relation over F_p at every prime, at a cost
-# that grows about as the cube of the degree: `table --max-n 2` of a random
-# relation of degree d (coefficients in {-1, 0, 1}) took 0.6 s at d = 128,
-# 14 s at d = 512 and 186 s at d = 1024 (Python 3.11, 2-vCPU x86-64 VM).
+# list.  A table takes the squarefree part of each relation over Q once and
+# its distinct-degree factorization over F_p at every prime, at costs that
+# grow about as the cube of the degree: `table --max-n 2` of a random
+# relation of degree d (coefficients in {-1, 0, 1}) took 0.3 s at d = 128,
+# 2.1 s at d = 256 and 22 s at d = 512 (Python 3.11, 2-vCPU x86-64 VM).
 MAX_EXPONENT = 512
 
 
@@ -203,8 +205,9 @@ def ppowmod(F, a, e, m):
     while e:
         if e & 1:
             out = pmod(F, pmul(F, out, a), m)
-        a = pmod(F, pmul(F, a, a), m)
         e >>= 1
+        if e:
+            a = pmod(F, pmul(F, a, a), m)
     return out
 
 
@@ -223,6 +226,29 @@ def gcd_over_field(F, a, b):
 
 def int_poly_to_field(F, f):
     return pnormalize([F.from_int(c) for c in f])
+
+
+def _primitive_part(f):
+    g = math.gcd(*f)
+    return [c // g for c in f]
+
+
+def _gcd_over_z(a, b):
+    """Primitive gcd of nonzero integer polynomials by the primitive PRS
+    (Collins 1967): each pseudo-remainder is reduced to its primitive part,
+    so the coefficients stay small and no division leaves Z.  By Gauss's
+    lemma it is the gcd over Q up to a unit."""
+    a, b = _primitive_part(a), _primitive_part(b)
+    while pdeg(b) >= 1:
+        r = a
+        while len(r) >= len(b):
+            c, k = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+            r = pnormalize(r)
+        a, b = b, _primitive_part(r) if r else []
+    return a if not b else [1]
 
 
 # -- squarefree parts and root counts -----------------------------------------
@@ -244,7 +270,11 @@ def squarefree_part(F, f):
         for part, _ in _squarefree_decomposition(F, pmonic(F, f)):
             acc = pmul(F, acc, part)
         return pmonic(F, acc)
-    g = gcd_over_field(F, f, pderiv(F, f))
+    # Euclid in Fraction arithmetic blows up on a relation of degree 128, so
+    # gcd(f, f') is taken over Z, of f with its denominators cleared
+    scale = math.lcm(*(Fraction(c).denominator for c in f))
+    fz = [int(c * scale) for c in f]
+    g = _gcd_over_z(fz, [i * c for i, c in enumerate(fz)][1:])
     return pmonic(F, pdivmod(F, f, g)[0])
 
 
@@ -298,9 +328,10 @@ def factor_mod_p(f, p: int) -> FactorizationModP:
     for part, mult in _squarefree_decomposition(F, fbar):
         if pdeg(part) < 1:
             continue
-        for irr in _factor_squarefree(F, part, rng):
-            key = tuple(irr)
-            found[key] = found.get(key, 0) + mult
+        for d, g in distinct_degree_factorization(F, part):
+            for irr in _equal_degree_split(F, g, d, rng):
+                key = tuple(irr)
+                found[key] = found.get(key, 0) + mult
     factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
     return FactorizationModP(p=p, unit=unit, factors=factors)
 
@@ -331,9 +362,16 @@ def _squarefree_decomposition(F, f):
     return out
 
 
-def _factor_squarefree(F, f, rng):
-    """Irreducible factors of a monic squarefree polynomial over F_p."""
-    p = F.p
+def distinct_degree_factorization(F, f):
+    """Pairs (d, G_d), d ascending, for a monic squarefree f over F_p: G_d is
+    the product of f's irreducible factors of degree d, so it has
+    deg G_d / d of them.
+
+    x^(p^d) - x is the product of the monic irreducibles whose degree
+    divides d, so once the factors of degree < d are divided out of f, its
+    gcd with f is G_d.  A remainder of degree < 2(d + 1) that is left after
+    step d has no factor of degree <= d, so it is irreducible.
+    """
     out = []
     x = [F.zero, F.one]
     h = x
@@ -341,14 +379,14 @@ def _factor_squarefree(F, f, rng):
     rest = f
     while pdeg(rest) >= 2 * (d + 1):
         d += 1
-        h = ppowmod(F, h, p, rest)
+        h = ppowmod(F, h, F.p, rest)
         g = gcd_over_field(F, psub(F, h, x), rest)
         if pdeg(g) >= 1:
-            out.extend(_equal_degree_split(F, g, d, rng))
+            out.append((d, g))
             rest = pdivmod(F, rest, g)[0]
             h = pmod(F, h, rest)
     if pdeg(rest) >= 1:
-        out.append(rest)
+        out.append((pdeg(rest), rest))
     return out
 
 

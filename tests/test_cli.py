@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import random
 import re
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from importlib import metadata
 from pathlib import Path
 
@@ -228,6 +230,63 @@ def test_specs_at_the_size_bounds_yield_a_table(tmp_path, capsys):
     code, out, _ = _run(["table", _spec(tmp_path, widest_wreath), "--max-n", "17"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == f"17,17,1,{1 + 17 * 15},1,15,true"
+
+
+def _timed_run(argv, capsys, budget_s=10):
+    start = time.perf_counter()
+    code, out, err = _run(argv, capsys)
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget_s, f"{argv[0]} took {elapsed:.1f} s"
+    return code, out, err
+
+
+def test_table_of_x512_minus_x_reads_only_factor_degrees(tmp_path, capsys):
+    # x^512 - x = x (x^511 - 1), and mod p, x^511 - 1 = (x^m' - 1)^(p^a)
+    # with m' = 511 without its p-part.  The module is cyclic, so each
+    # irreducible factor is one simple quotient: count(p^k) = N_k + [k = 1],
+    # N_k = sum of phi(d)/k over d | m' with ord_d(p) = k, and x - 1 is the
+    # one trivial quotient.  Splitting each fiber into its irreducible
+    # factors took about 78 s here.
+    def irreducible_factor_count(p, k):
+        m = 511
+        while m % p == 0:
+            m //= p
+        total = 0
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            order, power = 1, p % d
+            while power != 1 % d:
+                order, power = order + 1, power * p % d
+            if order == k:
+                total += sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+        return total // k
+
+    spec = _spec(tmp_path, {"type": "module_presented", "gens": 1, "relations": [["x^512 - x"]]})
+    code, out, err = _timed_run(["table", spec, "--max-n", "5"], capsys)
+    assert (code, err) == (0, "")
+    expected = ["n,p,k,count,mtriv,mnontriv,exact"]
+    for n, p, k in ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)):
+        count = irreducible_factor_count(p, k) + (k == 1)
+        mtriv = int(k == 1)
+        expected.append(f"{n},{p},{k},{count},{mtriv},{count - mtriv},true")
+    assert out.splitlines() == expected
+
+
+def test_degree_128_relation_takes_no_fraction_euclid(tmp_path, capsys):
+    # gcd(f, f') over Q by Euclid in Fraction arithmetic ran past 100 s on
+    # this relation.  The module Z[x]/(f) has a root of f mod 2 per simple
+    # quotient of index 2, f(1) = 0 mod 2 marks the trivial one, and f has
+    # content 1, so no fiber has free rank: bounded growth
+    rng = random.Random(5)
+    f = [rng.choice((-1, 0, 1)) for _ in range(128)] + [1]
+    spec = _spec(tmp_path, {"type": "module_presented", "gens": 1, "relations": [[poly_to_str(f)]]})
+    code, out, err = _timed_run(["table", spec, "--max-n", "2"], capsys)
+    assert (code, err) == (0, "")
+    roots = [a for a in (0, 1) if sum(c * a ** i for i, c in enumerate(f)) % 2 == 0]
+    mtriv = int(1 in roots)
+    assert out.splitlines()[1] == f"2,2,1,{len(roots)},{mtriv},{len(roots) - mtriv},true"
+    code, out, err = _timed_run(["growth-type", spec], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"growth_type": "bounded", "kind": "PolyDegree", "degree": 0, "d": 1, "r_max": 0, "r0": 0}
 
 
 def test_acting_torsion_order_is_checked_without_a_stall(tmp_path, capsys):

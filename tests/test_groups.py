@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from growthlab import cli, groups, modules
+from growthlab import cli, groups, modules, poly
 from growthlab.arith import primes_up_to
 from growthlab.groups import (
     MdegValue,
@@ -223,24 +223,27 @@ def test_joint_spectrum_factors_each_min_poly_once(monkeypatch):
 
 
 def test_one_action_table_reads_invariant_factors(monkeypatch):
-    # one factorization per prime, of the largest invariant factor only, and
-    # no fiber algebra
-    factored, spectra = [], []
-    factor_mod_p, joint_spectrum = modules.factor_mod_p, modules.joint_spectrum
+    # one distinct-degree factorization per prime, of rad(b_t) only: no
+    # factorization, no equal-degree splitting and no fiber algebra
+    calls = {"ddf": [], "factor": [], "split": [], "spectrum": []}
 
-    def counted_factor(f, p):
-        factored.append(p)
-        return factor_mod_p(f, p)
+    def counted(name, fn, key):
+        def wrapper(*args):
+            calls[name].append(key(*args))
+            return fn(*args)
+        return wrapper
 
-    def counted_spectrum(fiber):
-        spectra.append(fiber.p)
-        return joint_spectrum(fiber)
-
-    monkeypatch.setattr(modules, "factor_mod_p", counted_factor)
-    monkeypatch.setattr(modules, "joint_spectrum", counted_spectrum)
+    monkeypatch.setattr(modules, "distinct_degree_factorization", counted(
+        "ddf", modules.distinct_degree_factorization, lambda F, f: F.p))
+    monkeypatch.setattr(modules, "factor_mod_p", counted(
+        "factor", modules.factor_mod_p, lambda f, p: p))
+    monkeypatch.setattr(poly, "_equal_degree_split", counted(
+        "split", poly._equal_degree_split, lambda F, g, d, rng: F.p))
+    monkeypatch.setattr(modules, "joint_spectrum", counted(
+        "spectrum", modules.joint_spectrum, lambda fiber: fiber.p))
     growth_table(WreathCyclic(9), 200)
-    assert factored == primes_up_to(200) and len(factored) == 46
-    assert spectra == []
+    assert calls["ddf"] == primes_up_to(200) and len(calls["ddf"]) == 46
+    assert calls["factor"] == calls["split"] == calls["spectrum"] == []
 
 
 def _euler_phi(d):

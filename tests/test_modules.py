@@ -13,6 +13,7 @@ from growthlab.modules import (
     PresentedFiber,
     PrimeProfile,
     SpectrumEntry,
+    _chain_profile,
     chain_count,
     count_max_submodules,
     fiber_mod_p,
@@ -23,7 +24,7 @@ from growthlab.modules import (
     split_triv_nontriv,
 )
 from growthlab.oracle import oracle_count_max_submodules
-from growthlab.poly import PrimeField, factor_mod_p, parse_poly
+from growthlab.poly import PrimeField, factor_mod_p, parse_poly, pmonic, pmul
 
 
 def _ma(k, actions, torsion=(), group_action=False):
@@ -115,7 +116,7 @@ def test_chain_count_examples():
     # at n = 5: torsion has 2 distinct linear factors; chain formula
     got = chain_count(invf, 1, 5)
     # chain_count telescopes over the factored b_j; count_max_submodules
-    # reads the profile, which factors b_t alone
+    # reads the profile, which takes only the factor degrees of rad(b_t)
     m = Presented(gens=2, relations=(
         (tuple(parse_poly("x^2 - 1")), (0,)),
         ((0,), (0,)),
@@ -142,6 +143,61 @@ def test_presented_profile_counts_match_chain_count():
                 n = p ** k
                 expected = chain_count(fib.invariant_factors, fib.free_rank, n)
                 assert count_max_submodules(m, n) == expected, (relations, n)
+
+
+def _fp_mul(F, *polys):
+    out = [1]
+    for f in polys:
+        out = pmul(F, out, f)
+    return out
+
+
+def _fp_monic_irreducible(F, degree, skip=0):
+    """The (skip+1)-th monic irreducible of the degree over F_p, by trial."""
+    p = F.p
+    for code in range(p ** degree):
+        f = [(code // p ** i) % p for i in range(degree)] + [1]
+        if factor_mod_p(f, p).factors == ((tuple(f), 1),):
+            if not skip:
+                return f
+            skip -= 1
+    raise AssertionError("too few irreducibles")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_chain_profile_telescopes_like_chain_count(p):
+    # b_1 | b_2 | b_3 with b_j = u_1 ... u_j.  The hand chain first puts two
+    # linear and two cubic irreducibles into different b_j, repeats factors,
+    # and has the inseparable parts q(x^p) = q^p and x^p - x; the seeded
+    # chains add random cofactors.  The profile reads only the factor
+    # degrees of rad(b_3); chain_count factors every b_j.
+    F = PrimeField(p)
+    l1, l2 = _fp_monic_irreducible(F, 1), _fp_monic_irreducible(F, 1, skip=1)
+    c1, c2 = _fp_monic_irreducible(F, 3), _fp_monic_irreducible(F, 3, skip=1)
+    q = _fp_monic_irreducible(F, 2)
+    q_of_xp = [0] * (2 * p + 1)
+    q_of_xp[::p] = q
+    frob = [0, p - 1] + [0] * (p - 2) + [1]  # x^p - x
+    chains = [[
+        _fp_mul(F, l1, q, c1),
+        _fp_mul(F, l1, l1, l2, q_of_xp, c2),
+        _fp_mul(F, l2, frob, c2, c2),
+    ]]
+    rng = random.Random(p)
+    for _ in range(12):
+        chains.append([
+            _fp_mul(F, *(
+                pmonic(F, [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1])
+                for _ in range(rng.randint(int(j == 0), 3))
+            ))
+            for j in range(3)
+        ])
+    for parts in chains:
+        factors = [_fp_mul(F, *parts[: j + 1]) for j in range(3)]
+        for free_rank in (0, 1, 2):
+            profile = _chain_profile(p, factors, free_rank)
+            for k in range(1, 5):
+                assert profile.count(k) == chain_count(factors, free_rank, p ** k), (parts, free_rank, k)
 
 
 def test_presented_counts_against_oracle_fiber():

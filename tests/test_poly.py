@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -11,11 +13,13 @@ from growthlab.poly import (
     PrimeField,
     count_irreducibles,
     distinct_complex_root_count,
+    distinct_degree_factorization,
     factor_mod_p,
     gcd_over_field,
     int_poly_to_field,
     parse_poly,
     pdeg,
+    pderiv,
     pdivmod,
     pmod,
     pmonic,
@@ -75,6 +79,28 @@ def test_squarefree_part():
     assert squarefree_part(F, f5) == [4, 1]
 
 
+def _fraction_euclid_squarefree_part(f):
+    """Reference: f / gcd(f, f') by Euclid in Fraction arithmetic, monic."""
+    g = gcd_over_field(QQ, f, pderiv(QQ, f))
+    return pmonic(QQ, pdivmod(QQ, f, g)[0])
+
+
+def test_squarefree_part_over_q_matches_fraction_euclid():
+    # seeded products of random factors, some repeated, scaled by a random
+    # rational so the content, sign and denominators vary
+    rng = random.Random(11)
+    for _ in range(200):
+        f = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))]
+        for _ in range(rng.randint(1, 4)):
+            factor = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
+            factor.append(Fraction(rng.randint(1, 3)))
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                f = pmul(QQ, f, factor)
+        if pdeg(f) < 1:
+            continue
+        assert squarefree_part(QQ, f) == _fraction_euclid_squarefree_part(f), f
+
+
 def test_distinct_complex_root_count():
     assert distinct_complex_root_count([-1, 0, 0, 1]) == 3  # x^3 - 1
     assert distinct_complex_root_count([1, 0, 2, 0, 1]) == 2  # (x^2+1)^2
@@ -124,6 +150,27 @@ def test_factor_mod_p_remultiplies(coeffs, p, seed):
                 assert (
                     sum(c * a ** i for i, c in enumerate(g)) % p != 0
                 ), f"{g} has root {a} mod {p}"
+
+
+@pytest.mark.parametrize("p", [*PRIMES, 2 ** 31 - 1])
+def test_distinct_degree_blocks_tally_the_factor_degrees(p):
+    # squarefree parts of seeded polynomials: block d holds deg G_d / d
+    # irreducibles of degree d, as factor_mod_p finds them, and the blocks
+    # multiply back to f
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(35):
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 12 if p < 100 else 8))] + [1]
+        f = squarefree_part(F, f)
+        blocks = distinct_degree_factorization(F, f)
+        assert [d for d, _ in blocks] == sorted({d for d, _ in blocks})
+        assert all(pdeg(g) % d == 0 and g[-1] == 1 for d, g in blocks)
+        tally = Counter(len(g) - 1 for g, _ in factor_mod_p(f, p).factors)
+        assert {d: pdeg(g) // d for d, g in blocks} == tally
+        product = [1]
+        for _, g in blocks:
+            product = pmul(F, product, g)
+        assert product == f
 
 
 def test_count_irreducibles_values():
