@@ -3,7 +3,9 @@
 Specs are single JSON documents with a "type" field; see parse_spec.
 Commands: table, mdeg, asymptote, growth-type, check, irreducibles.
 Exit codes: 0 success, 2 spec validation failure, 3 command/spec mismatch,
-4 nothing verified (check).
+4 nothing verified (check).  Any other exit status, a traceback included,
+reports a bug in growthlab, not in the spec: a RuntimeError from a broken
+internal invariant is let through rather than mapped to 2 or 3.
 """
 
 from __future__ import annotations
@@ -198,16 +200,15 @@ def cmd_table(args) -> int:
         raise SpecError(f"--max-n must be >= 2, got {args.max_n}")
     report = growth_table(desc, args.max_n)
     if args.format == "csv":
+        # every count is certified, so `exact` is constant here and in JSON
         lines = ["n,p,k,count,mtriv,mnontriv,exact"]
         for r in report.rows:
-            lines.append(
-                f"{r.n},{r.p},{r.k},{r.count},{r.mtriv},{r.mnontriv},"
-                f"{'true' if r.exact else 'false'}"
-            )
+            lines.append(f"{r.n},{r.p},{r.k},{r.count},{r.mtriv},{r.mnontriv},true")
         out = "\n".join(lines) + "\n"
     else:
-        # the row and mdeg keys are the dataclass fields, in their order
-        doc = {"rows": [asdict(r) for r in report.rows], "exactness": report.exactness}
+        # the row and mdeg keys are the dataclass fields, in their order,
+        # then a row's "exact"
+        doc = {"rows": [{**asdict(r), "exact": True} for r in report.rows], "exactness": "exact"}
         if report.mdeg is not None:
             doc["mdeg"] = asdict(report.mdeg)
         if report.asymptotic is not None:
@@ -246,11 +247,7 @@ def cmd_asymptote(args) -> int:
 
 
 def cmd_growth_type(args) -> int:
-    desc = load_spec(args.spec)
-    if not isinstance(desc, Presented):
-        sys.stderr.write("growth-type applies only to module_presented specs\n")
-        return 3
-    gt = growth_type_classify(desc)
+    gt = growth_type_classify(load_spec(args.spec))
     sys.stdout.write(
         json.dumps(
             {
@@ -340,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_asymptote)
 
-    p = sub.add_parser("growth-type", help="growth trichotomy for module_presented")
+    p = sub.add_parser("growth-type", help="growth trichotomy for module_presented or one-action module_matrix")
     common(p)
     p.set_defaults(func=cmd_growth_type)
 

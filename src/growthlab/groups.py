@@ -217,7 +217,6 @@ class GrowthRow:
     count: int
     mtriv: int
     mnontriv: int
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,6 @@ class GrowthReport:
     mdeg: MdegValue | None
     asymptotic: tuple[int, int] | None  # (rho1, d)
     growth_type: GrowthType | None
-    exactness: str
 
 
 def der_count(acting_rank: int, acting_torsion, s_size: int, trivial: bool) -> int:
@@ -334,22 +332,10 @@ def growth_table(g, n_max: int) -> GrowthReport:
         while n <= n_max:
             count = _group_count(expanded, profile, k) if is_group else profile.count(k)
             mtriv, mnontriv = profile.split(k)
-            rows.append(
-                GrowthRow(
-                    n=n, p=p, k=k, count=count,
-                    mtriv=mtriv, mnontriv=mnontriv, exact=True,
-                )
-            )
+            rows.append(GrowthRow(n=n, p=p, k=k, count=count, mtriv=mtriv, mnontriv=mnontriv))
             n, k = n * p, k + 1
     rows.sort(key=lambda r: r.n)
     mdeg_val = mdeg(expanded) if is_group else None
     asym = asymptotic_leading(expanded) if isinstance(expanded, ZkByZ) else None
     gtype = growth_type_classify(g) if isinstance(g, Presented) else None
-    exactness = mdeg_val.exactness if mdeg_val else "exact"
-    return GrowthReport(
-        rows=tuple(rows),
-        mdeg=mdeg_val,
-        asymptotic=asym,
-        growth_type=gtype,
-        exactness=exactness,
-    )
+    return GrowthReport(rows=tuple(rows), mdeg=mdeg_val, asymptotic=asym, growth_type=gtype)

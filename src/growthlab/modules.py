@@ -9,11 +9,13 @@ e and multiplicity s at each maximal ideal, and sum (q^s - 1)/(q - 1) over
 the ideals with residue field of the right size q = p^k.  The per-prime data
 is one PrimeProfile, which every count at the powers of p is read from.
 
-In one variable (a Presented module, or a MatrixAction with one action A,
-which is coker(xI - A) over Z[x]) the fiber is an F_p[x]-module, and the
-profile is read off its F_p[x] invariant factors.  With two or more actions,
-joint_spectrum splits the fiber into primary components of the commuting
-algebra.  module_invariants reads the generic fiber in characteristic 0.
+In one variable the module is Presented: a MatrixAction with one action A
+on Z^k (+) (+)_j Z/t_j is coker [xI - A | t_j e_(k+j)] over Z[x], and is
+counted, classified and read in characteristic 0 as that presentation.  Its
+fiber is an F_p[x]-module, and the profile is read off its F_p[x] invariant
+factors.  With two or more actions, joint_spectrum splits the fiber into
+primary components of the commuting algebra.  module_invariants reads the
+generic fiber in characteristic 0.
 """
 
 from __future__ import annotations
@@ -214,14 +216,13 @@ class ModuleInvariants:
     """Simple quotients of the fiber at a generic prime: d is their largest
     multiplicity, d_nt the largest among the nontrivial ones, t that of the
     trivial one.  a are the Q[x] invariant factors read (rho: distinct complex
-    roots of each); s0, r0 a Presented module's torsion and free rank."""
+    roots of each); r0 the free rank of a module in one variable."""
 
     d: int
     d_nt: int
     t: int
     a: tuple[tuple[int, ...], ...]
     rho: tuple[int, ...]
-    s0: int | None
     r0: int | None
 
 
@@ -246,15 +247,21 @@ class GrowthType:
 # -- fibers --------------------------------------------------------------------
 
 
-def _smith_over_fpx(F, rows, gens):
-    """The F_p[x]-module coker(rows), `rows` a matrix over F_p[x] with `gens`
-    rows, read off its Smith normal form: non-unit invariant factors and
-    free rank."""
-    snf = smith_normal_form_poly(F, rows, ncols=len(rows[0]) if rows else 0)
-    return PresentedFiber(
-        p=F.p,
-        invariant_factors=tuple(tuple(d) for d in snf.diagonal if pdeg(d) >= 1),
-        free_rank=gens - snf.rank,
+def _one_variable(m):
+    """A MatrixAction with one action A as coker [xI - A | t_j e_(k+j)] over
+    Z[x]; anything else as it is.  The fibers agree: for p not dividing t_j
+    the torsion column is a unit and removes generator k + j, and an entry
+    a_rj with p | t_r is 0 mod p, as t_j a_rj = 0 mod t_r."""
+    if not isinstance(m, MatrixAction) or m.ell > 1:
+        return m
+    A, k, dim = m.actions[0], m.k, m.k + len(m.torsion)
+    return Presented(
+        gens=dim,
+        relations=tuple(
+            tuple((-A[r][c], int(r == c)) for c in range(dim))
+            + tuple((t * (r == k + j),) for j, t in enumerate(m.torsion))
+            for r in range(dim)
+        ),
     )
 
 
@@ -264,7 +271,12 @@ def fiber_mod_p(m: ModuleDescriptor, p: int):
     if isinstance(m, Presented):
         F = PrimeField(p)
         rows = [[int_poly_to_field(F, list(e)) for e in row] for row in m.relations]
-        return _smith_over_fpx(F, rows, m.gens)
+        snf = smith_normal_form_poly(F, rows, ncols=len(rows[0]) if rows else 0)
+        return PresentedFiber(
+            p=p,
+            invariant_factors=tuple(tuple(d) for d in snf.diagonal if pdeg(d) >= 1),
+            free_rank=m.gens - snf.rank,
+        )
     keep = list(range(m.k)) + [
         m.k + j for j, t in enumerate(m.torsion) if t % p == 0
     ]
@@ -494,12 +506,9 @@ def _chain_profile(p, factors, free_rank):
 
 def prime_profile(m: ModuleDescriptor, p: int) -> PrimeProfile:
     """The per-prime data of m at p, from one reduction of the fiber: its
-    F_p[x] invariant factors for a Presented module or a MatrixAction with
-    one action A (those of xI - A mod p), joint_spectrum for two or more."""
-    fib = fiber_mod_p(m, p)
-    if isinstance(m, MatrixAction) and m.ell == 1:
-        F = PrimeField(p)
-        fib = _smith_over_fpx(F, x_minus_matrix(F, fib.actions[0]), fib.dim)
+    F_p[x] invariant factors in one variable, joint_spectrum for two or more
+    actions."""
+    fib = fiber_mod_p(_one_variable(m), p)
     if isinstance(fib, PresentedFiber):
         return _chain_profile(p, [list(b) for b in fib.invariant_factors], fib.free_rank)
     # t_p = dim of the fiber modulo the images of every A - I
@@ -615,15 +624,19 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
     """Characteristic-zero invariants of m, read off the Q[x] invariant
     factors b_1 | ... | b_s of one operator on its top, plus r0 free summands.
 
-    A Presented module takes its relation matrix, r0 its free rank.  A
-    MatrixAction takes xI - A on its free part, A its one action or the
-    _generic_operator of two or more.  A monic irreducible h has multiplicity
+    A module in one variable takes its relation matrix, r0 its free rank.
+    A MatrixAction with two or more actions takes xI - A on its free part, A
+    their _generic_operator.  A monic irreducible h has multiplicity
     r0 + #{i : h | b_i}, largest for h | b_1, so d = r0 + s.  The b_i that
     are not a power of x - sigma, sigma the trivial eigenvalue, are those
     divisible by a nontrivial h: d_nt, or d when t = 0.  t is the dimension
     over Q modulo x - 1, or modulo the images of every A_i - I.  Cached:
-    mdeg, asymptotic_leading and the growth type all read it.
+    mdeg, asymptotic_leading and the growth type all read it, keyed on the
+    presentation in one variable.
     """
+    presented = _one_variable(m)
+    if presented is not m:
+        return module_invariants(presented)
     if isinstance(m, Presented):
         rows = [[[*e] for e in row] for row in m.relations]
         snf, sigma = smith_normal_form_poly(QQ, rows, ncols=len(rows[0]) if rows else 0), 1
@@ -634,22 +647,20 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
         k, blocks, r0 = m.k, m.free_blocks(), None
         images = [[blk[r][c] - (r == c) for r in range(k)] for blk in blocks for c in range(k)]
         t = k - rank(QQ, images, k)
-        op, sigma = (blocks[0], 1) if m.ell == 1 or k == 0 else _generic_operator(blocks, k)
+        op, sigma = (blocks[0], 1) if k == 0 else _generic_operator(blocks, k)
         snf = smith_normal_form_poly(QQ, x_minus_matrix(QQ, op), ncols=len(op))
     a = tuple(tuple(int(c) for c in b) for b in snf.diagonal if pdeg(b) >= 1)
     rho = tuple(distinct_complex_root_count(list(b)) for b in a)
     # b is a power of x - sigma iff it has one distinct root and sigma is one
     trivial = sum(1 for b, roots in zip(a, rho) if roots == 1 and peval(QQ, list(b), sigma) == 0)
     d = (r0 or 0) + len(a)
-    return ModuleInvariants(
-        d=d, d_nt=d - trivial if t else d, t=t, a=a, rho=rho,
-        s0=None if r0 is None else len(a), r0=r0,
-    )
+    return ModuleInvariants(d=d, d_nt=d - trivial if t else d, t=t, a=a, rho=rho, r0=r0)
 
 
 def growth_type_classify(m: ModuleDescriptor) -> GrowthType:
-    """Growth trichotomy for a presented Z[x]-module: polynomial of degree
-    d or d-1, or n^r_max/log n.
+    """Growth trichotomy for a module in one variable, a Presented module or
+    a MatrixAction with one action: polynomial of degree d or d-1, or
+    n^r_max/log n.
 
     r_max, the largest free rank of N/pN over all primes p, is certified by
     integer Smith forms of the relation matrix R at the points x0 = 0..B,
@@ -667,8 +678,9 @@ def growth_type_classify(m: ModuleDescriptor) -> GrowthType:
     primes are divided out, the largest jump above B is gens - i for the
     least i with gcd(G_i, h) > 1.  Nothing is factored.
     """
+    m = _one_variable(m)
     if not isinstance(m, Presented):
-        raise ValueError("growth_type_classify requires a Presented module")
+        raise ValueError("the growth type needs a module in one variable: presented, or one action")
     inv = module_invariants(m)
     d, r0 = inv.d, inv.r0
     r = m.gens - r0

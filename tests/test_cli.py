@@ -131,9 +131,39 @@ def test_growth_type(tmp_path, capsys):
     code, out, _ = _run(["growth-type", spec], capsys)
     assert code == 0
     assert "bounded" in out
-    gspec = _spec(tmp_path, ZKZ, "g.json")
-    code2, _, _ = _run(["growth-type", gspec], capsys)
-    assert code2 == 3
+    # groups and modules with two or more actions are not in one variable
+    two = {"type": "module_matrix", "actions": [[[1, 1], [0, 1]], [[1, 0], [0, 1]]]}
+    for doc in (ZKZ, two):
+        code2, _, err = _run(["growth-type", _spec(tmp_path, doc, "g.json")], capsys)
+        assert code2 == 3 and err.startswith("error: the growth type needs a module in one variable"), doc
+
+
+def _presented_doc(A, torsion):
+    """The module_presented spec of [xI - A | t_j e_(k+j)], one relation per
+    column."""
+    dim, k = len(A), len(A) - len(torsion)
+    columns = [[[-A[r][c], 1] if r == c else [-A[r][c]] for r in range(dim)] for c in range(dim)]
+    columns += [[[t] if r == k + j else [] for r in range(dim)] for j, t in enumerate(torsion)]
+    return {"type": "module_presented", "gens": dim,
+            "relations": [[poly_to_str(f) for f in col] for col in columns]}
+
+
+@pytest.mark.parametrize("A, torsion", [
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], []),
+    ([[1, 1], [0, 1]], []),
+    ([[1, 0], [0, 1]], []),
+    ([[2, 0], [1, 1]], [3]),
+    ([[1, 0, 0], [0, 1, 0], [1, 1, -1]], [4]),
+    ([[-1, 0, 0], [1, 1, 0], [2, 0, 5]], [2, 6]),
+    ([[1, 0], [0, 2]], [2, 4]),
+])
+def test_growth_type_of_one_action_is_that_of_its_presentation(tmp_path, capsys, A, torsion):
+    matrix_spec = _spec(tmp_path, {"type": "module_matrix", "actions": [A], "torsion": torsion}, "m.json")
+    code, out, err = _run(["growth-type", matrix_spec], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["r_max"] == 0
+    presented_spec = _spec(tmp_path, _presented_doc(A, torsion), "p.json")
+    assert _run(["growth-type", presented_spec], capsys) == (0, out, "")
 
 
 def test_check(tmp_path, capsys):
@@ -559,6 +589,59 @@ def test_valid_group_specs_yield_mdeg_and_table(doc):
             assert (code, err.getvalue()) == (0, ""), (argv, doc)
 
 
+def _squared(M):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*M)] for row in M]
+
+
+@st.composite
+def _valid_commuting_semidirect(draw):
+    """An accepted semidirect spec with two commuting actions: (A, A^2),
+    (A, I) or (A, -I) for a zk_by_z matrix A, or (P, P^2) for a cyclic
+    permutation P of order m on at most three coordinates."""
+    if draw(st.booleans()):
+        doc = draw(_valid_zk_by_z())
+        A, torsion = doc["matrix"], doc["torsion"]
+        dim = len(A)
+        kind = draw(st.sampled_from(["square", "identity", "negation"]))
+        if kind == "square":
+            B = _squared(A)
+        else:
+            B = [[(1 if kind == "identity" else -1) * (r == c) for c in range(dim)] for r in range(dim)]
+        shape = {"acting_rank": 1, "acting_torsion": [2]} if kind == "negation" else {"acting_rank": 2}
+        return {"type": "semidirect", "actions": [A, B], "torsion": torsion, **shape}
+    k = draw(st.integers(2, 3))
+    m = draw(st.integers(2, k))
+    cycle = draw(st.permutations(range(k)))[:m]
+    image = {c: cycle[(i + 1) % m] for i, c in enumerate(cycle)}
+    P = [[int(image.get(c, c) == r) for c in range(k)] for r in range(k)]
+    return {"type": "semidirect", "actions": [P, _squared(P)], "acting_rank": 0, "acting_torsion": [m, m]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=_valid_commuting_semidirect())
+def test_valid_two_action_specs_yield_mdeg_and_table(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (["mdeg", path], ["table", path, "--max-n", "30"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, err.getvalue()) == (0, ""), (argv, doc)
+
+
+def test_broken_frobenius_invariant_is_raised_not_mapped(tmp_path, monkeypatch):
+    # a broken internal invariant is a bug in growthlab, not in the spec: it
+    # leaves main as a RuntimeError rather than exit 2 or 3
+    identity = [[1, 0], [0, 1]]
+    monkeypatch.setattr(modules, "_frobenius_fixed_space", lambda F, alg, dim: [identity, identity])
+    modules.joint_spectrum.cache_clear()
+    spec = _spec(tmp_path, {"type": "module_matrix", "actions": [identity, identity]})
+    with pytest.raises(RuntimeError, match="no fixed element splits"):
+        main(["table", spec, "--max-n", "5"])
+
+
 def test_irreducibles(capsys):
     code, out, _ = _run(["irreducibles", "--p", "2", "--k", "4"], capsys)
     assert code == 0
@@ -588,6 +671,16 @@ def test_zk_by_z_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
     # mdeg and the asymptote read the same cached module_invariants
     spec = _spec(tmp_path, ZKZ)
     _assert_one_qx_smith_form(monkeypatch, capsys, [["mdeg", spec], ["table", spec, "--max-n", "20"]])
+
+
+def test_one_action_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
+    # one cached Smith form, keyed on the presentation, serves each command
+    A, torsion = [[2, 0], [1, 1]], [3]
+    matrix_spec = _spec(tmp_path, {"type": "module_matrix", "actions": [A], "torsion": torsion})
+    group_spec = _spec(tmp_path, {"type": "zk_by_z", "matrix": [[-1, 0], [1, 1]], "torsion": torsion}, "g.json")
+    _assert_one_qx_smith_form(monkeypatch, capsys, [
+        ["growth-type", matrix_spec], ["mdeg", group_spec], ["table", group_spec, "--max-n", "20"],
+    ])
 
 
 def test_presented_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):

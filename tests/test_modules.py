@@ -249,10 +249,10 @@ def test_module_invariants_ell1():
 def test_module_invariants_presented():
     m = Presented(gens=1, relations=((tuple(parse_poly("x^2 - 1")),),))
     inv = module_invariants(m)
-    assert inv.r0 == 0 and inv.s0 == 1 and inv.d == 1
+    assert inv.r0 == 0 and len(inv.a) == 1 and inv.d == 1
     free = Presented(gens=1, relations=(((0,),),))
     invf = module_invariants(free)
-    assert invf.r0 == 1 and invf.s0 == 0 and invf.d == 1
+    assert invf.r0 == 1 and len(invf.a) == 0 and invf.d == 1
 
 
 def test_module_invariants_ell2_trivial_top():
@@ -650,6 +650,31 @@ def test_invariants_are_metamorphic():
         assert _invariants(_ma(k, actions + [moves_trivial])) == (d, d, 0)
         U, V = _unimodular_pair(rng, k, 10)
         assert _invariants(_ma(k, [_mat_mul(_mat_mul(U, M), V) for M in actions])) == (d, d_nt, t)
+
+
+def _doubled(m):
+    """m (+) m for one action, free coordinates first, then torsion."""
+    k, ntor = m.k, len(m.torsion)
+    place = [[i if i < k else k + i for i in range(k + ntor)],
+             [k + i if i < k else k + ntor + i for i in range(k + ntor)]]
+    A = [[0] * (2 * (k + ntor)) for _ in range(2 * (k + ntor))]
+    for new in place:
+        for r, row in enumerate(m.actions[0]):
+            for c, x in enumerate(row):
+                A[new[r]][new[c]] = x
+    return _ma(2 * k, [A], torsion=m.torsion * 2)
+
+
+def test_one_action_invariants_match_the_generic_operator():
+    # (A) is read as its presentation [xI - A | t_j e_(k+j)], (A, A) through
+    # _generic_operator on its top: two independent paths to (d, d_nt, t).
+    # A (+) A doubles every multiplicity.
+    rng = random.Random(12)
+    for _ in range(100):
+        m = _random_action_with_torsion(rng)
+        for module in (m, _doubled(m)) if m.k <= 2 else (m,):
+            twice = _ma(module.k, [module.actions[0]] * 2, torsion=module.torsion)
+            assert _invariants(module) == _invariants(twice), module
 
 
 def test_profile_is_invariant_under_conjugation():
