@@ -225,7 +225,7 @@ def cmd_table(args) -> int:
 
 def cmd_mdeg(args) -> int:
     desc = load_spec(args.spec)
-    if not isinstance(desc, (SemidirectFgAbelian, WreathCyclic, NilpotentGf)):
+    if not isinstance(desc, GroupDescriptor):
         sys.stderr.write("mdeg applies to group specs, not bare modules\n")
         return 3
     result = mdeg(desc)
@@ -248,6 +248,9 @@ def cmd_asymptote(args) -> int:
 
 def cmd_growth_type(args) -> int:
     gt = growth_type_classify(load_spec(args.spec))
+    if gt is None:
+        sys.stderr.write("error: the growth type needs a module in one variable: presented, or one action\n")
+        return 3
     sys.stdout.write(
         json.dumps(
             {

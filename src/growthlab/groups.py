@@ -6,22 +6,22 @@ products Z wr Z/mZ (WreathCyclic, sugar for A = Z/m) as special cases, and
 the nilpotent groups G_f defined by commutator relations [x_i, x_j] = f(i,j)
 in a central free abelian part.
 
-Counting reduces to the module engine: a maximal subgroup of index n either
-contains the module N (counted in the acting group) or meets it in a maximal
-submodule, and the number of subgroups over a fixed maximal submodule is a
-derivation count.
+A maximal subgroup either contains [G, G], a hyperplane of G/G^p[G,G] whose
+dimension u_p is read off one integer Smith form of G/[G, G], or is one of
+the |S| complements over a maximal submodule of N with nontrivial simple
+quotient S, counted by the module engine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
-from .arith import factorint, is_prime, prime_power_decompose, primes_up_to
-from .linalg import mat_mul, min_poly_of_matrix, rank as mat_rank
+from .arith import factorint, prime_power_decompose, primes_up_to
+from .linalg import mat_mul, min_poly_of_matrix, smith_normal_form_int
 from .modules import (
     MatrixAction,
-    Presented,
     GrowthType,
     PrimeProfile,
     SpectrumEntry,
@@ -29,7 +29,7 @@ from .modules import (
     module_invariants,
     prime_profile,
 )
-from .poly import QQ, PrimeField, pdeg, pdivmod, pmod
+from .poly import QQ, pdeg, pdivmod, pmod
 
 # Largest ell accepted by NilpotentGf: its center has C(ell, 2) generators,
 # and counts at p are powers p^(ell + C(ell, 2) - rank).
@@ -192,12 +192,6 @@ class NilpotentGf:
     def k(self) -> int:
         return self.ell * (self.ell - 1) // 2
 
-    def abelian_rank(self, F) -> int:
-        """Rank over F of G/[G, G] (x) F: ell + C(ell,2) minus the rank of the
-        f vectors (the pairs not given are zero)."""
-        fm = [[F.from_int(x) for x in vec] for _, vec in self.f_vectors]
-        return self.ell + self.k - mat_rank(F, fm, self.k)
-
 
 GroupDescriptor = SemidirectFgAbelian | WreathCyclic | NilpotentGf
 
@@ -227,26 +221,39 @@ class GrowthReport:
     growth_type: GrowthType | None
 
 
-def der_count(acting_rank: int, acting_torsion, s_size: int, trivial: bool) -> int:
-    """|Der(A, S)| for f.g. abelian A acting on a simple module S.
+@functools.lru_cache(maxsize=None)
+def _abelianization(g) -> tuple[int, tuple[int, ...]]:
+    """(gens, d): G/[G, G] on gens generators, d the nonzero invariant
+    factors of its relations.  For N x| A: N's generators, then A's, modulo
+    every column of a_i - I, t_j e_(k+j) and o_j times A's torsion
+    generators.  For G_f: x_1..x_ell and the center, modulo the f vectors."""
+    if isinstance(g, NilpotentGf):
+        gens = g.ell + g.k
+        relations = [(0,) * g.ell + vec for _, vec in g.f_vectors]
+    elif isinstance(g, SemidirectFgAbelian):
+        m = g.module
+        dim = m.k + len(m.torsion)
+        gens = dim + g.acting_rank + len(g.acting_torsion)
+        relations = [[a[r][c] - (r == c) for r in range(dim)] + [0] * (gens - dim)
+                     for a in m.actions for c in range(dim)]
+        orders = [*enumerate(m.torsion, m.k), *enumerate(g.acting_torsion, dim + g.acting_rank)]
+        relations += [[o * (c == i) for c in range(gens)] for i, o in orders]
+    else:
+        raise ValueError(f"unsupported descriptor {type(g).__name__}")
+    return gens, smith_normal_form_int(relations, ncols=gens).diagonal
 
-    Trivial action: Der = Hom(A, S), forcing |S| prime; otherwise |S|.
-    """
-    if trivial:
-        if not is_prime(s_size):
-            raise ValueError("trivial action on a simple module forces prime order")
-        p = s_size
-        r_p = acting_rank + sum(1 for t in acting_torsion if t % p == 0)
-        return p ** r_p
-    return s_size
+
+def _hyperplane_rank(g, p: int) -> int:
+    """u_p = dim_Fp G/G^p[G,G]: gens less the invariant factors prime to p."""
+    gens, d = _abelianization(g)
+    return gens - sum(1 for x in d if x % p)
 
 
 def _profile(g, p: int) -> PrimeProfile:
-    """Per-prime data of g's module.  For NilpotentGf, whose maximal
-    subgroups are the hyperplanes of the F_p-space G/G^p[G,G], it is that
-    space as a module with trivial action."""
+    """Per-prime data of g's module; for G_f, G/G^p[G,G] with trivial action,
+    which gives its rows' mtriv."""
     if isinstance(g, NilpotentGf):
-        u = g.abelian_rank(PrimeField(p))
+        u = _hyperplane_rank(g, p)
         return PrimeProfile(
             p=p, entries=(SpectrumEntry(e=1, s=u),), generic_rank=0, trivial_rank=u,
         )
@@ -256,16 +263,13 @@ def _profile(g, p: int) -> PrimeProfile:
 
 
 def _group_count(g, profile: PrimeProfile, k: int) -> int:
-    """Maximal subgroups of index p^k of g, read from the profile at p."""
+    """Maximal subgroups of index p^k: the hyperplanes of G/G^p[G,G] at
+    k = 1, plus p^k complements per nontrivial simple quotient of size p^k."""
     p = profile.p
-    if isinstance(g, SemidirectFgAbelian):
-        mtriv, mnontriv = profile.split(k)
-        if k == 1:
-            hom = der_count(g.acting_rank, g.acting_torsion, p, trivial=True)
-            m_acting = (hom - 1) // (p - 1)
-            return m_acting + hom * mtriv + p * mnontriv
+    mnontriv = profile.split(k)[1]
+    if k > 1:
         return p ** k * mnontriv
-    return profile.count(k)
+    return (p ** _hyperplane_rank(g, p) - 1) // (p - 1) + p * mnontriv
 
 
 def max_subgroups(g: GroupDescriptor, n: int) -> int:
@@ -279,28 +283,24 @@ def max_subgroups(g: GroupDescriptor, n: int) -> int:
 
 
 def mdeg(g: GroupDescriptor) -> MdegValue:
-    """Degree of polynomial growth of n -> max_subgroups(g, n).
+    """Degree of polynomial growth of n -> max_subgroups(g, n):
+    max(u_Q - 1, d_nt), u_Q the rank of G/[G, G].
 
-    For N x| A it is read off the generic simple quotients of N
-    (module_invariants).  With A infinite of rank r it is max(r + t - 1, d).
-    With A finite it is max(t - 1, d_nt): at a generic p the trivial
-    quotients give p^(t-1) subgroups, and every nontrivial simple quotient of
-    multiplicity s gives q^s at a positive density of primes (Chebotarev).
-    For ZkByZ (r = 1) this is d: t, the number of invariant factors of
-    xI - A divisible by x - 1, is at most d, the number of non-unit ones.
+    At a generic p there are about p^(u_Q - 1) hyperplanes, and a nontrivial
+    simple quotient of N of multiplicity s gives q^s subgroups at a positive
+    density of primes (Chebotarev); d_nt, the largest s, is read off N's
+    generic simple quotients (module_invariants), and G_f has none.  For
+    N x| A, A of rank r, u_Q = r + t (t: N modulo every a_i - I), and with
+    r >= 1 this is max(r + t - 1, d), as d = max(t, d_nt) when t > 0: the
+    invariant factors that are powers of x - sigma, sigma the trivial
+    eigenvalue, lead the chain, so if there are any, all d are divisible by
+    x - sigma and d = t; otherwise d = d_nt.  For ZkByZ it gives d.
     """
     if isinstance(g, WreathCyclic):
         g = g.expand()
-    if isinstance(g, SemidirectFgAbelian):
-        inv = module_invariants(g.module)
-        if g.acting_rank:
-            value = max(g.acting_rank + inv.t - 1, inv.d)
-        else:
-            value = max(inv.t - 1, inv.d_nt)
-    elif isinstance(g, NilpotentGf):
-        value = g.abelian_rank(QQ) - 1
-    else:
-        raise ValueError(f"unsupported descriptor {type(g).__name__}")
+    gens, d = _abelianization(g)
+    d_nt = module_invariants(g.module).d_nt if isinstance(g, SemidirectFgAbelian) else 0
+    value = max(gens - len(d) - 1, d_nt)
     return MdegValue(value=value, provenance="exact-theorem", exactness="exact")
 
 
@@ -323,7 +323,7 @@ def growth_table(g, n_max: int) -> GrowthReport:
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    is_group = isinstance(g, (SemidirectFgAbelian, WreathCyclic, NilpotentGf))
+    is_group = isinstance(g, GroupDescriptor)
     expanded = g.expand() if isinstance(g, WreathCyclic) else g
     rows = []
     for p in primes_up_to(n_max):
@@ -337,5 +337,4 @@ def growth_table(g, n_max: int) -> GrowthReport:
     rows.sort(key=lambda r: r.n)
     mdeg_val = mdeg(expanded) if is_group else None
     asym = asymptotic_leading(expanded) if isinstance(expanded, ZkByZ) else None
-    gtype = growth_type_classify(g) if isinstance(g, Presented) else None
-    return GrowthReport(rows=tuple(rows), mdeg=mdeg_val, asymptotic=asym, growth_type=gtype)
+    return GrowthReport(rows=tuple(rows), mdeg=mdeg_val, asymptotic=asym, growth_type=growth_type_classify(g))

@@ -657,10 +657,11 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
     return ModuleInvariants(d=d, d_nt=d - trivial if t else d, t=t, a=a, rho=rho, r0=r0)
 
 
-def growth_type_classify(m: ModuleDescriptor) -> GrowthType:
+def growth_type_classify(m) -> GrowthType | None:
     """Growth trichotomy for a module in one variable, a Presented module or
     a MatrixAction with one action: polynomial of degree d or d-1, or
-    n^r_max/log n.
+    n^r_max/log n.  None for anything else: a module with two or more
+    actions, or a group.
 
     r_max, the largest free rank of N/pN over all primes p, is certified by
     integer Smith forms of the relation matrix R at the points x0 = 0..B,
@@ -680,7 +681,7 @@ def growth_type_classify(m: ModuleDescriptor) -> GrowthType:
     """
     m = _one_variable(m)
     if not isinstance(m, Presented):
-        raise ValueError("the growth type needs a module in one variable: presented, or one action")
+        return None
     inv = module_invariants(m)
     d, r0 = inv.d, inv.r0
     r = m.gens - r0

@@ -19,7 +19,6 @@ from growthlab.groups import (
     WreathCyclic,
     ZkByZ,
     asymptotic_leading,
-    der_count,
     max_subgroups,
     mdeg,
 )
@@ -225,7 +224,11 @@ def test_criterion_6_derivation_counts():
                 continue
             ident = tuple(tuple(1 if i == j else 0 for j in range(1)) for i in range(1))
             mats = tuple(ident for _ in range(gens))
-            expected = der_count(rank, torsion, p, trivial=True)
+            # Der(A, F_p) = Hom(A, F_p): p^u maps, with (p^u - 1)/(p - 1)
+            # maximal subgroups of A, the semidirect product with N = 0
+            zero = MatrixAction(k=0, torsion=(), actions=((),) * gens, group_action=True)
+            A = SemidirectFgAbelian(zero, acting_rank=rank, acting_torsion=torsion)
+            expected = 1 + (p - 1) * max_subgroups(A, p)
             got = oracle_der_count(rank, torsion, p, 1, mats)
         else:
             # one free generator acting by the companion of an irreducible
@@ -243,12 +246,15 @@ def test_criterion_6_derivation_counts():
             if (p ** degree) ** rank > 10 ** 6:
                 continue
             mats = (comp,) + tuple(ident for _ in range(extra))
-            expected = der_count(rank, torsion, p ** degree, trivial=False)
+            # S x| A has |Der(A, S)| = |S| maximal subgroups of index |S|,
+            # the complements of S
+            S = MatrixAction(k=0, torsion=(p,) * degree, actions=mats, group_action=True)
+            expected = max_subgroups(SemidirectFgAbelian(S, acting_rank=rank, acting_torsion=torsion), p ** degree)
             got = oracle_der_count(rank, torsion, p, degree, mats)
         assert got == expected, (p, trivial, done)
         done += 1
     _budget(start, 20, "criterion 6")
-    print("criterion 6 (derivation closed form vs oracle, 100 instances): PASS")
+    print("criterion 6 (derivation counts vs group counts, 100 instances): PASS")
 
 
 def _random_irreducible(F, p, degree, rng):

@@ -164,6 +164,15 @@ def test_growth_type_of_one_action_is_that_of_its_presentation(tmp_path, capsys,
     assert json.loads(out)["r_max"] == 0
     presented_spec = _spec(tmp_path, _presented_doc(A, torsion), "p.json")
     assert _run(["growth-type", presented_spec], capsys) == (0, out, "")
+    # their JSON tables agree, growth type included; with a second action the
+    # module is not in one variable and its table has no growth type
+    tables = [_run(["table", spec, "--max-n", "30", "--format", "json"], capsys) for spec in (matrix_spec, presented_spec)]
+    assert tables[0] == tables[1] and tables[0][0] == 0
+    assert json.loads(tables[0][1])["growth_type"] == json.loads(out)["growth_type"]
+    identity = [[int(r == c) for c in range(len(A))] for r in range(len(A))]
+    two_spec = _spec(tmp_path, {"type": "module_matrix", "actions": [A, identity], "torsion": torsion}, "two.json")
+    code, two_table, _ = _run(["table", two_spec, "--max-n", "30", "--format", "json"], capsys)
+    assert code == 0 and "growth_type" not in json.loads(two_table)
 
 
 def test_check(tmp_path, capsys):

@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 import random
 
 import pytest
 
-from growthlab import cli, groups, modules, poly
+from growthlab import cli, groups, linalg, modules, poly
 from growthlab.arith import primes_up_to
 from growthlab.groups import (
     MdegValue,
@@ -13,7 +14,6 @@ from growthlab.groups import (
     WreathCyclic,
     ZkByZ,
     asymptotic_leading,
-    der_count,
     growth_table,
     max_subgroups,
     mdeg,
@@ -112,15 +112,6 @@ def test_asymptotic_leading():
     assert asymptotic_leading(ident) == (1, 2)
 
 
-def test_der_count():
-    assert der_count(0, (3,), 7, trivial=True) == 1  # 3 not divisible by 7
-    assert der_count(0, (3,), 3, trivial=True) == 3
-    assert der_count(1, (), 5, trivial=True) == 5
-    assert der_count(0, (3,), 99, trivial=False) == 99
-    with pytest.raises(ValueError):
-        der_count(0, (3,), 6, trivial=True)
-
-
 def test_semidirect_validation():
     # acting tuple length must match number of module actions
     with pytest.raises(ValueError):
@@ -146,6 +137,82 @@ def test_nilpotent_gf():
     for ell in (2, 3):
         triv = NilpotentGf(ell=ell, f_vectors={})
         assert mdeg(triv).value == ell + ell * (ell - 1) // 2 - 1
+
+
+def _random_semidirect(rng):
+    """A valid N x| A with torsion in N, two actions or a finite A: a
+    unimodular free block with +-1 on the torsion diagonal, acting by Z, by
+    Z^2 as (B, B^2) or by Z x Z/2 as (B, -I); or a cyclic permutation P of
+    order m acting by Z/(c m) or by (Z/m)^2 as (P, P^2)."""
+    if rng.random() < 0.6:
+        k = rng.randint(0, 3)
+        torsion = [rng.choice([2, 3, 4, 6, 9]) for _ in range(rng.randint(1 if k == 0 else 0, 2))]
+        dim = k + len(torsion)
+        B = _random_unimodular(rng, k) if k >= 2 else [[rng.choice([-1, 1])] for _ in range(k)]
+        B = [row + [0] * len(torsion) for row in B]
+        B += [[rng.randint(-3, 3) for _ in range(k)] + [rng.choice([-1, 1]) * (r == c) for c in range(len(torsion))]
+              for r in range(len(torsion))]
+        shape = rng.choice([(1, (), [B]), (2, (), [B, _mat_mul(B, B)]),
+                            (1, (2,), [B, [[-(r == c) for c in range(dim)] for r in range(dim)]])])
+        return SemidirectFgAbelian(_ma(k, shape[2], torsion), acting_rank=shape[0], acting_torsion=shape[1])
+    k = rng.randint(2, 4)
+    m = rng.randint(2, k)
+    cycle = rng.sample(range(k), m)
+    image = {c: cycle[(i + 1) % m] for i, c in enumerate(cycle)}
+    P = [[int(image.get(c, c) == r) for c in range(k)] for r in range(k)]
+    if rng.random() < 0.5:
+        return SemidirectFgAbelian(_ma(k, [P]), acting_rank=0, acting_torsion=(m * rng.randint(1, 3),))
+    return SemidirectFgAbelian(_ma(k, [P, _mat_mul(P, P)]), acting_rank=0, acting_torsion=(m, m))
+
+
+def test_hyperplane_rank_is_that_of_the_profile():
+    # u_p from the integer Smith form of G/[G, G] against the F_p path:
+    # dim_Fp A/pA plus t_p, the trivial rank of the fiber
+    rng = random.Random(1313)
+    for _ in range(100):
+        g = _random_semidirect(rng)
+        for p in (2, 3, 5, 7, 1000003, 2 ** 31 - 1):
+            acting = g.acting_rank + sum(1 for o in g.acting_torsion if o % p == 0)
+            expected = acting + modules.prime_profile(g.module, p).trivial_rank
+            assert groups._hyperplane_rank(g, p) == expected, (g, p)
+
+
+def test_nilpotent_hyperplanes_by_brute_force():
+    # Hom(G_f, Z/p): any images of x_1..x_ell, and z in F_p^C(ell,2) for the
+    # center with f(i,j).z = 0 for every given pair; there are p^u_p of them
+    rng = random.Random(1414)
+    for _ in range(180):
+        ell, p = rng.randint(2, 4), rng.choice([2, 3, 5])
+        k = ell * (ell - 1) // 2
+        pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+        f = {pair: tuple(rng.choice([0, 1, -1, 2, p, 2 * p, 3 * p + 1]) for _ in range(k))
+             for pair in rng.sample(pairs, rng.randint(0, len(pairs)))}
+        g = NilpotentGf(ell=ell, f_vectors=f)
+        kernel = sum(
+            1 for z in itertools.product(range(p), repeat=k)
+            if all(sum(a * b for a, b in zip(vec, z)) % p == 0 for vec in f.values())
+        )
+        assert 1 + (p - 1) * max_subgroups(g, p) == p ** ell * kernel, (f, p)
+
+
+def test_nilpotent_table_takes_one_integer_smith_form(monkeypatch):
+    calls = []
+    smith = groups.smith_normal_form_int
+
+    def counted(rows, ncols=None):
+        calls.append(len(rows))
+        return smith(rows, ncols)
+
+    def refused(*args):
+        raise AssertionError("an F_p rank was taken")
+
+    monkeypatch.setattr(groups, "smith_normal_form_int", counted)
+    for namespace in (linalg, modules):
+        monkeypatch.setattr(namespace, "rank", refused)
+    groups._abelianization.cache_clear()
+    g = cli.parse_spec({"type": "nilpotent_gf", "ell": 4, "f": {"1,2": [1, 2, 0, 0, 3, 0], "2,3": [0, 0, 4, 0, 0, 6]}})
+    rep = growth_table(g, 200)
+    assert calls == [2] and rep.mdeg.value == 7
 
 
 def test_growth_table():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from growthlab.modules import FiberModule, count_max_submodules, MatrixAction
-from growthlab.groups import der_count
+from growthlab.groups import SemidirectFgAbelian, max_subgroups
 from growthlab.oracle import (
     OracleBoundError,
     enumerate_subspaces,
@@ -77,11 +77,8 @@ def test_oracle_der_vs_closed_form():
         ident = tuple(tuple(1 if i == j else 0 for j in range(1)) for i in range(1))
         for rank, torsion in [(1, ()), (2, ()), (0, (p,)), (1, (p,)), (0, (6,))]:
             mats = tuple(ident for _ in range(rank + len(torsion)))
-            try:
-                expected = der_count(rank, torsion, p, trivial=True)
-            except ValueError:
-                continue
-            assert oracle_der_count(rank, torsion, p, 1, mats) == expected
+            r_p = rank + sum(1 for t in torsion if t % p == 0)
+            assert oracle_der_count(rank, torsion, p, 1, mats) == p ** r_p
 
 
 def test_oracle_der_nontrivial():
@@ -89,7 +86,9 @@ def test_oracle_der_nontrivial():
     # nontrivial simple module, |Der| = |S| = 4
     A = ((0, 1), (1, 1))
     assert oracle_der_count(0, (3,), 2, 2, (A,)) == 4
-    assert der_count(0, (3,), 4, trivial=False) == 4
+    # the four derivations are the complements of S in S x| Z/3
+    S = MatrixAction(k=0, torsion=(2, 2), actions=(A,), group_action=True)
+    assert max_subgroups(SemidirectFgAbelian(S, acting_rank=0, acting_torsion=(3,)), 4) == 4
 
 
 def test_oracle_der_bound_refusal():
