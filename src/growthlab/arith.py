@@ -6,6 +6,7 @@ p**(l + t - 1) routinely overflow 64 bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,11 +40,13 @@ class PrimePowerIndex:
             raise ValueError(f"{self.p} is not prime")
 
 
+@functools.lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic primality test (trial division, then Miller-Rabin).
 
     The witness set is only proven below ~3.3e24; larger inputs are refused
-    rather than answered probabilistically.
+    rather than answered probabilistically.  Cached: every public entry
+    point checks its prime, so one count tests the same p many times.
     """
     if n < 2:
         return False

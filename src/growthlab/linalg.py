@@ -46,33 +46,22 @@ def identity_matrix(F, n):
 def mat_mul(F, A, B):
     if A and B and len(A[0]) != len(B):
         raise ValueError("dimension mismatch in mat_mul")
-    inner = len(B)
     nc = len(B[0]) if B else 0
     out = []
     for row in A:
-        orow = [F.zero] * nc
-        for k in range(inner):
-            a = row[k]
-            if a == F.zero:
-                continue
-            brow = B[k]
-            for j in range(nc):
-                orow[j] = F.add(orow[j], F.mul(a, brow[j]))
-        out.append(orow)
+        acc = [F.zero] * nc
+        for a, brow in zip(row, B):
+            if a:
+                for j, y in enumerate(brow):
+                    acc[j] += a * y
+        out.append([F.reduce(x) for x in acc])
     return out
 
 
 def mat_apply(F, A, v):
     if A and len(A[0]) != len(v):
         raise ValueError("dimension mismatch in mat_apply")
-    out = []
-    for row in A:
-        acc = F.zero
-        for a, x in zip(row, v):
-            if a != F.zero:
-                acc = F.add(acc, F.mul(a, x))
-        out.append(acc)
-    return out
+    return [F.reduce(sum((a * x for a, x in zip(row, v) if a), F.zero)) for row in A]
 
 
 def poly_of_matrix(F, f, A):
@@ -81,13 +70,13 @@ def poly_of_matrix(F, f, A):
     out = [[F.zero] * n for _ in range(n)]
     power = identity_matrix(F, n)
     for i, c in enumerate(f):
-        if c != F.zero:
-            for r in range(n):
-                for s in range(n):
-                    out[r][s] = F.add(out[r][s], F.mul(c, power[r][s]))
+        if c:
+            for orow, prow in zip(out, power):
+                for s, y in enumerate(prow):
+                    orow[s] += c * y
         if i < len(f) - 1:
             power = mat_mul(F, power, A)
-    return out
+    return [[F.reduce(x) for x in row] for row in out]
 
 
 def mat_pow(F, A, e):
@@ -117,11 +106,11 @@ def rref(F, rows, ncols=None):
             continue
         R[r], R[piv] = R[piv], R[r]
         inv = F.inv(R[r][c])
-        R[r] = [F.mul(inv, x) for x in R[r]]
+        R[r] = [F.reduce(inv * x) for x in R[r]]
         for i in range(m):
             if i != r and R[i][c] != F.zero:
                 f = R[i][c]
-                R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[i], R[r])]
+                R[i] = [F.reduce(x - f * y) for x, y in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
         if r == m:
@@ -143,7 +132,7 @@ def kernel_basis(F, rows, ncols=None):
         v = [F.zero] * n
         v[fc] = F.one
         for r, pc in enumerate(pivots):
-            v[pc] = F.neg(R[r][fc])
+            v[pc] = F.reduce(-R[r][fc])
         basis.append(v)
     return basis
 
@@ -179,13 +168,13 @@ def min_poly_of_vector(F, A, v):
         for piv, b, bc in basis:
             f = row[piv]
             if f != F.zero:
-                row = [F.sub(x, F.mul(f, y)) for x, y in zip(row, b)]
-                coords = [F.sub(x, F.mul(f, y)) for x, y in zip(coords, bc)] + coords[len(bc):]
+                row = [F.reduce(x - f * y) for x, y in zip(row, b)]
+                coords = [F.reduce(x - f * y) for x, y in zip(coords, bc)] + coords[len(bc):]
         piv = next((i for i, x in enumerate(row) if x != F.zero), None)
         if piv is None:
             return pnormalize(coords)
         inv = F.inv(row[piv])
-        basis.append((piv, [F.mul(inv, x) for x in row], [F.mul(inv, c) for c in coords]))
+        basis.append((piv, [F.reduce(inv * x) for x in row], [F.reduce(inv * c) for c in coords]))
         cur = mat_apply(F, A, cur)
 
 
@@ -334,7 +323,7 @@ def x_minus_matrix(F, A):
     for i in range(n):
         row = []
         for j in range(n):
-            c = F.neg(F.from_int(A[i][j]) if isinstance(A[i][j], int) else A[i][j])
+            c = F.from_int(-A[i][j]) if isinstance(A[i][j], int) else F.reduce(-A[i][j])
             row.append(pnormalize([c, F.one] if i == j else [c]))
         out.append(row)
     return out

@@ -247,11 +247,13 @@ class GrowthType:
 # -- fibers --------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def _one_variable(m):
     """A MatrixAction with one action A as coker [xI - A | t_j e_(k+j)] over
     Z[x]; anything else as it is.  The fibers agree: for p not dividing t_j
     the torsion column is a unit and removes generator k + j, and an entry
-    a_rj with p | t_r is 0 mod p, as t_j a_rj = 0 mod t_r."""
+    a_rj with p | t_r is 0 mod p, as t_j a_rj = 0 mod t_r.  Cached, as every
+    prime of a table reads it."""
     if not isinstance(m, MatrixAction) or m.ell > 1:
         return m
     A, k, dim = m.actions[0], m.k, m.k + len(m.torsion)
@@ -373,7 +375,7 @@ def _frobenius_fixed_space(F, alg, dim):
     frob = [mat_pow(F, b, F.p) for b in alg]
     # column t holds the coordinates of b_t^p - b_t
     phi_minus_one = [
-        [F.sub(frob[t][r][c], F.one if i == t else F.zero) for t in range(adim)]
+        [F.reduce(frob[t][r][c] - (i == t)) for t in range(adim)]
         for i, (r, c) in enumerate(pivots)
     ]
     return [

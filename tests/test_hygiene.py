@@ -74,3 +74,15 @@ def test_benchmark_hooks_resolve():
         except (ImportError, AttributeError):
             missing.append(path)
     assert not missing, f"benchmark hooks missing from growthlab: {missing}"
+
+
+def test_both_fields_offer_one_protocol():
+    # every kernel runs over F_p and over Q through the same field methods,
+    # so neither field may grow a method the other lacks
+    from growthlab.poly import PrimeField, RationalField
+
+    def protocol(cls):
+        slots = set(getattr(cls, "__slots__", ()))  # PrimeField's p is data, not protocol
+        return {name for name in vars(cls) if not name.startswith("_") and name not in slots}
+
+    assert protocol(PrimeField) == protocol(RationalField) == {"zero", "one", "from_int", "inv", "reduce"}

@@ -136,7 +136,7 @@ def test_min_poly_divides_char_and_annihilates():
         for c in mp:
             for i in range(n):
                 for j in range(n):
-                    acc[i][j] = F.add(acc[i][j], F.mul(c, P[i][j]))
+                    acc[i][j] = (acc[i][j] + c * P[i][j]) % p
             P = mat_mul(F, P, A)
         assert all(x == F.zero for row in acc for x in row)
         assert len(mp) - 1 <= n
@@ -178,3 +178,103 @@ def test_rref_pivots():
     R, pivots = rref(F, A)
     assert pivots == [1]
     assert R[0] == [F.zero, F.from_int(1), F.from_int(2)]
+
+
+# -- the kernels against references that reduce after every operation ------------
+
+KERNEL_FIELDS = [PrimeField(p) for p in (2, 3, 7, 2 ** 31 - 1, 2 ** 61 - 1)] + [QQ]
+
+
+def _r(F, x):
+    """x reduced after one operation: x mod p over F_p, x itself over Q."""
+    return x % F.p if isinstance(F, PrimeField) else x
+
+
+def _random_matrix(F, rng, m, n):
+    """Seeded m x n matrix, sparse at times, with some zero rows."""
+    def entry():
+        if isinstance(F, PrimeField):
+            return rng.choice((0, 1, rng.randrange(F.p)))
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    zero_rows = set(rng.sample(range(m), rng.randint(0, m // 2))) if m else set()
+    return [[F.zero] * n if i in zero_rows else [entry() for _ in range(n)] for i in range(m)]
+
+
+def _ref_mat_mul(F, A, B):
+    out = [[F.zero] * len(B[0]) for _ in A]
+    for i, row in enumerate(A):
+        for k, a in enumerate(row):
+            for j, b in enumerate(B[k]):
+                out[i][j] = _r(F, out[i][j] + _r(F, a * b))
+    return out
+
+
+def _ref_rref(F, rows, n):
+    R, pivots, r = [list(x) for x in rows], [], 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = F.inv(R[r][c])
+        R[r] = [_r(F, inv * x) for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [_r(F, x - _r(F, f * y)) for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def _ref_min_poly(F, A):
+    """Least d with I, A, ..., A^d dependent; the monic relation among them."""
+    n = len(A)
+    powers = [[[F.one if i == j else F.zero for j in range(n)] for i in range(n)]]
+    while True:
+        powers.append(_ref_mat_mul(F, powers[-1], A))
+        cols = [[P[i][j] for P in powers] for i in range(n) for j in range(n)]
+        R, pivots = _ref_rref(F, cols, len(powers))
+        if len(pivots) < len(powers):
+            d = len(powers) - 1  # only the last power is a free column
+            return [_r(F, -R[r][d]) for r in range(d)] + [F.one]
+
+
+def _assert_reduced(F, entries):
+    for x in entries:
+        if isinstance(F, PrimeField):
+            assert type(x) is int and 0 <= x < F.p, (F, x)
+        else:
+            assert isinstance(x, Fraction), x
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=repr)
+def test_matrix_kernels_match_per_operation_reduction(F):
+    rng = random.Random(repr(F))
+    for _ in range(25):
+        m, k, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        A, B = _random_matrix(F, rng, m, k), _random_matrix(F, rng, k, n)
+        AB = mat_mul(F, A, B)
+        assert AB == _ref_mat_mul(F, A, B)
+        _assert_reduced(F, [x for row in AB for x in row])
+        R, pivots = rref(F, A, k)
+        assert (R, pivots) == _ref_rref(F, A, k)
+        _assert_reduced(F, [x for row in R for x in row])
+        ker = kernel_basis(F, A, k)
+        assert len(ker) == k - len(pivots)
+        _assert_reduced(F, [x for v in ker for x in v])
+        assert all(mat_apply(F, A, v) == [F.zero] * m for v in ker)
+        S = _random_matrix(F, rng, n, n)
+        mp = min_poly_of_matrix(F, S)
+        assert mp == _ref_min_poly(F, S)
+        _assert_reduced(F, mp)
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=repr)
+def test_matrix_kernel_edge_cases(F):
+    zero = [[F.zero] * 3 for _ in range(2)]
+    assert rref(F, zero) == (zero, [])
+    assert kernel_basis(F, zero) == identity_matrix(F, 3)
+    assert kernel_basis(F, [], 2) == identity_matrix(F, 2)
+    assert mat_mul(F, zero, [[F.one]] * 3) == [[F.zero]] * 2
+    assert min_poly_of_matrix(F, [[F.zero] * 2] * 2) == [F.zero, F.one]

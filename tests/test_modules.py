@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growthlab.arith import factorint, is_prime
+from growthlab.arith import PrimePowerIndex, factorint, is_prime
 from growthlab.linalg import rank
 from growthlab.modules import (
     FiberModule,
@@ -353,6 +353,28 @@ def test_local_field_near_2_61():
     m = _ma(3, [C3, C3_SQUARED_PLUS_ONE])
     assert joint_spectrum(fiber_mod_p(m, p)) == (SpectrumEntry(3, 1),)
     assert count_max_submodules(m, p ** 3) == 1
+
+
+def test_one_count_tests_its_prime_once():
+    # count_max_submodules checks p in prime_power_decompose, PrimePowerIndex,
+    # fiber_mod_p and every factor_mod_p of the joint spectrum; the cache
+    # leaves one Miller-Rabin run for the pair of counts at p and p^2
+    p = 2 ** 61 - 1
+    A = [[1, 1], [0, 2]]
+    m = _ma(2, [A, [[4, 5], [0, 9]]])  # A and A^2 + 2A + I
+    is_prime.cache_clear()
+    assert count_max_submodules(m, p) == 2
+    assert count_max_submodules(m, p * p) == 0
+    assert is_prime.cache_info().misses == 1
+    # a cached verdict on a composite refuses as before
+    assert not is_prime(6)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            factor_mod_p([1, 1], 6)
+        with pytest.raises(ValueError):
+            fiber_mod_p(m, 6)
+        with pytest.raises(ValueError):
+            PrimePowerIndex(16, 4, 2)
 
 
 def _companion(f):

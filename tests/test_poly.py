@@ -18,14 +18,17 @@ from growthlab.poly import (
     gcd_over_field,
     int_poly_to_field,
     parse_poly,
+    padd,
     pdeg,
     pderiv,
     pdivmod,
+    peval,
     pmod,
     pmonic,
     pmul,
     pnormalize,
     poly_to_str,
+    psub,
     squarefree_part,
 )
 
@@ -188,8 +191,6 @@ def test_division_identity():
     a = int_poly_to_field(F, [3, 1, 4, 1, 5])
     b = int_poly_to_field(F, [2, 0, 1])
     q, r = pdivmod(F, a, b)
-    from growthlab.poly import padd
-
     assert padd(F, pmul(F, q, b), r) == a
     assert pdeg(r) < pdeg(b)
 
@@ -198,3 +199,112 @@ def test_monic_normalization():
     F = PrimeField(5)
     assert pmonic(F, [2, 4]) == [3, 1]
     assert pmod(F, [1, 0, 1], [1, 1]) == [2]
+
+
+# -- the kernels against references that reduce after every operation ------------
+
+KERNEL_FIELDS = [PrimeField(p) for p in (2, 3, 7, 2 ** 31 - 1, 2 ** 61 - 1)] + [QQ]
+
+
+def _r(F, x):
+    """x reduced after one operation: x mod p over F_p, x itself over Q."""
+    return x % F.p if isinstance(F, PrimeField) else x
+
+
+def _random_poly(F, rng, length):
+    if isinstance(F, PrimeField):
+        coeffs = [rng.choice((0, rng.randrange(F.p))) for _ in range(length)]
+    else:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(length)]
+    return pnormalize(coeffs)
+
+
+def _ref_add(F, a, b):
+    out = [F.zero] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = _r(F, out[i] + x)
+    for i, y in enumerate(b):
+        out[i] = _r(F, out[i] + y)
+    return pnormalize(out)
+
+
+def _ref_neg(F, a):
+    return [_r(F, -x) for x in a]
+
+
+def _ref_mul(F, a, b):
+    out = [F.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = _r(F, out[i + j] + _r(F, x * y))
+    return pnormalize(out)
+
+
+def _ref_divmod(F, a, b):
+    a, q = list(a), [F.zero] * max(len(a) - len(b) + 1, 0)
+    inv = F.inv(b[-1])
+    while len(a) >= len(b):
+        c, k = _r(F, a[-1] * inv), len(a) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            a[k + i] = _r(F, a[k + i] - _r(F, c * y))
+        a = pnormalize(a)
+    return pnormalize(q), a
+
+
+def _ref_eval(F, a, x):
+    acc = F.zero
+    for c in reversed(a):
+        acc = _r(F, _r(F, acc * x) + c)
+    return acc
+
+
+def _assert_reduced(F, coeffs):
+    for c in coeffs:
+        if isinstance(F, PrimeField):
+            assert type(c) is int and 0 <= c < F.p, (F, c)
+        else:
+            assert isinstance(c, Fraction), c
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=repr)
+def test_kernels_match_per_operation_reduction(F):
+    rng = random.Random(repr(F))
+    for _ in range(60):
+        a = _random_poly(F, rng, rng.randint(0, 9))
+        b = _random_poly(F, rng, rng.randint(0, 6))
+        x = _random_poly(F, rng, 1)
+        x = x[0] if x else F.zero
+        results = {
+            "pmul": (pmul(F, a, b), _ref_mul(F, a, b)),
+            "padd": (padd(F, a, b), _ref_add(F, a, b)),
+            "psub": (psub(F, a, b), _ref_add(F, a, _ref_neg(F, b))),
+            "pderiv": (pderiv(F, a), pnormalize([_r(F, i * c) for i, c in enumerate(a)][1:])),
+        }
+        if b:
+            results["pdivmod"] = (pdivmod(F, a, b), _ref_divmod(F, a, b))
+        for name, (got, want) in results.items():
+            assert got == want, (name, F, a, b)
+            _assert_reduced(F, got[0] + got[1] if name == "pdivmod" else got)
+        value = peval(F, a, x)
+        assert value == _ref_eval(F, a, x)
+        _assert_reduced(F, [value])
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=repr)
+def test_kernel_edge_cases(F):
+    rng = random.Random(f"edge {F!r}")
+    a = _random_poly(F, rng, 6) or [F.one]
+    c = F.from_int(5)  # nonzero in every field of KERNEL_FIELDS
+    assert pmul(F, [], a) == pmul(F, a, []) == []
+    assert padd(F, [], a) == padd(F, a, []) == a
+    assert psub(F, a, []) == a and psub(F, a, a) == []
+    assert psub(F, [], a) == _ref_neg(F, a)
+    _assert_reduced(F, psub(F, [], a))
+    assert pdivmod(F, [], a) == ([], [])
+    assert pdivmod(F, a, [c]) == ([_r(F, x * F.inv(c)) for x in a], [])
+    assert pdivmod(F, [c], a + [F.one]) == ([], [c])
+    assert pderiv(F, []) == pderiv(F, [c]) == []
+    assert peval(F, [], c) == F.zero
+    with pytest.raises(ZeroDivisionError):
+        pdivmod(F, a, [])
