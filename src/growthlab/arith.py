@@ -82,26 +82,39 @@ def prime_power_decompose(n: int) -> PrimePowerIndex | None:
     """
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
-    # If n = p**k then p <= n**(1/k); try every candidate root.
-    for k in range(n.bit_length(), 0, -1):
-        p = _integer_kth_root(n, k)
-        if p ** k == n and is_prime(p):
-            return PrimePowerIndex(n, p, k)
-    return None
+    # n = p**k with k > 1 is an r**q with q a prime factor of k, q <= log2 n,
+    # and r = p**(k/q): take that root and go on from r
+    p, k = n, 1
+    while True:
+        for q in primes_up_to(p.bit_length()):
+            r = _integer_kth_root(p, q)
+            if r ** q == p:
+                p, k = r, k * q
+                break
+        else:
+            return PrimePowerIndex(n, p, k) if is_prime(p) else None
 
 
 def _integer_kth_root(n: int, k: int) -> int:
-    """Largest r with r**k <= n, by bisection in integers (no float overflow)."""
+    """Largest r with r**k <= n, by integer Newton steps from above.
+
+    The start is a float estimate raised by a relative 2^-30, far above the
+    float's error, or a power of 2 where the root is past float range.  From
+    any start at or above the root the steps decrease to it: by the AM-GM
+    inequality a step never falls below it.
+    """
     if k == 1:
         return n
-    lo, hi = 0, 1 << -(-n.bit_length() // k)  # hi**k >= 2**bit_length > n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid ** k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    bits = n.bit_length()
+    if bits // k < 1000:
+        r = int(2 ** (math.log2(n) / k) * (1 + 2 ** -30)) + 1
+    else:
+        r = 1 << -(-bits // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def factorint(n: int) -> dict[int, int]:

@@ -13,9 +13,12 @@ In one variable the module is Presented: a MatrixAction with one action A
 on Z^k (+) (+)_j Z/t_j is coker [xI - A | t_j e_(k+j)] over Z[x], and is
 counted, classified and read in characteristic 0 as that presentation.  Its
 fiber is an F_p[x]-module, and the profile is read off its F_p[x] invariant
-factors.  With two or more actions, joint_spectrum splits the fiber into
-primary components of the commuting algebra.  module_invariants reads the
-generic fiber in characteristic 0.
+factors.  With two or more actions, a fiber on which some action A is
+cyclic (deg of its min poly mu = dim) is F_p[x]/(mu) and is read the same
+way; any other fiber is split by joint_spectrum into primary components of
+the commuting algebra.  module_invariants reads the generic fiber in
+characteristic 0, where a cyclic action on the top is likewise the operator
+it is read from.
 """
 
 from __future__ import annotations
@@ -425,9 +428,9 @@ def joint_spectrum(fiber: FiberModule) -> tuple[SpectrumEntry, ...]:
     """Maximal ideals of the algebra generated by the fiber actions.
 
     Each entry (e, s) contributes (q^s - 1)/(q - 1) maximal submodules of
-    index q = p^e.  prime_profile calls it for two or more actions only;
-    with one action it is the reference that the F_p[x] invariant-factor
-    profile is tested against.
+    index q = p^e.  prime_profile calls it only for two or more actions
+    none of which is cyclic mod p; elsewhere it is the reference that the
+    F_p[x] invariant-factor profile is tested against.
     """
     F = PrimeField(fiber.p)
     mats = [list(map(list, a)) for a in fiber.actions]
@@ -508,22 +511,34 @@ def _chain_profile(p, factors, free_rank):
 
 def prime_profile(m: ModuleDescriptor, p: int) -> PrimeProfile:
     """The per-prime data of m at p, from one reduction of the fiber: its
-    F_p[x] invariant factors in one variable, joint_spectrum for two or more
-    actions."""
+    F_p[x] invariant factors in one variable, else one action's min poly or
+    joint_spectrum.
+
+    If some action A has a min poly mu of degree dim over F_p, A is
+    nonderogatory, and its centralizer is F_p[A] (Horn & Johnson, Matrix
+    Analysis, on nonderogatory matrices).  Every other action commutes with
+    A, so is a polynomial in A, and the fiber is F_p[x]/(mu) with x acting
+    as A: its simple quotients are those of the one-variable chain [mu].
+    Any other fiber goes to joint_spectrum.  t_p needs every action either
+    way: it is the dimension of the fiber modulo the images of every A - I.
+    """
     fib = fiber_mod_p(_one_variable(m), p)
     if isinstance(fib, PresentedFiber):
         return _chain_profile(p, [list(b) for b in fib.invariant_factors], fib.free_rank)
-    # t_p = dim of the fiber modulo the images of every A - I
+    F = PrimeField(p)
     images = [
         [(a[r][c] - (r == c)) % p for r in range(fib.dim)]
         for a in fib.actions
         for c in range(fib.dim)
     ]
+    # a 0 x 0 action has min poly 1 of degree 0, yet no simple quotient
+    mins = (min_poly_of_matrix(F, a) for a in fib.actions) if fib.dim else ()
+    cyclic = next((mu for mu in mins if pdeg(mu) == fib.dim), None)
     return PrimeProfile(
         p=p,
-        entries=joint_spectrum(fib),
+        entries=joint_spectrum(fib) if cyclic is None else _chain_profile(p, [cyclic], 0).entries,
         generic_rank=0,
-        trivial_rank=fib.dim - rank(PrimeField(p), images, fib.dim),
+        trivial_rank=fib.dim - rank(F, images, fib.dim),
     )
 
 
@@ -595,8 +610,10 @@ def _generic_operator(blocks, k):
     kernel of the r_i(A_i)^T, where the A_i^T act with the same invariant
     factors.
 
-    c generates S iff deg minpoly(c) = dim S, which fails iff c takes one
-    value at two of the dim S points of Spec(S (x) C).  Each such pair is a
+    c generates S iff deg minpoly(c) = dim S.  As dim S <= dim W, an A_i
+    cyclic on W is such a c, with lambda = e_i and sigma = 1; the walk below
+    runs only when no A_i is.  There c = sum_i lambda_i A_i fails iff it
+    takes one value at two of the dim S points of Spec(S (x) C).  Each such pair is a
     nonzero linear condition on lambda, as the A_i generate S: a hyperplane,
     which the moment curve lambda_i = j^i meets at most l - 1 times with
     j >= 1 (sum_i a_i j^i is j times a polynomial of degree l - 1).  So the
@@ -611,6 +628,9 @@ def _generic_operator(blocks, k):
     dual = kernel_basis(QQ, rows, k)
     mats = [_restrict(QQ, [list(col) for col in zip(*A)], dual, k) for A in blocks]
     w = len(dual)
+    for M in mats:
+        if pdeg(min_poly_of_matrix(QQ, M)) == w:
+            return M, 1
     dim_s = len(_algebra_basis(QQ, mats, w))
     j = 1
     while True:

@@ -354,20 +354,43 @@ def distinct_degree_factorization(F, f):
     divides d, so once the factors of degree < d are divided out of f, its
     gcd with f is G_d.  A remainder of degree < 2(d + 1) that is left after
     step d has no factor of degree <= d, so it is irreducible.
+
+    h = x^(p^d) is raised to the p-th power at each step.  As a(x)^p =
+    a(x^p) over F_p, that is the vector-matrix product h Q with Berlekamp's
+    matrix Q modulo a divisor r of f, whose row i is x^(ip) mod r, and h is
+    reduced modulo what is left of f only for the gcd.  Q costs about
+    min(p, deg r) products mod r to build, and a power by ppowmod about
+    log2 p, so h is powered by ppowmod until the steps taken have cost as
+    much as Q, and then Q is built modulo what is left of f: never much
+    more than either way alone when f splits in a few steps, and far less
+    at large p when it takes many.
     """
     out = []
     x = [F.zero, F.one]
-    h = x
+    h, Q = x, []
     d = 0
     rest = f
     while pdeg(rest) >= 2 * (d + 1):
         d += 1
-        h = ppowmod(F, h, F.p, rest)
-        g = gcd_over_field(F, psub(F, h, x), rest)
+        if Q:
+            acc = [F.zero] * len(Q)
+            for c, row in zip(h, Q):
+                if c:
+                    for i, y in enumerate(row):
+                        acc[i] += c * y
+            h = pnormalize([F.reduce(a) for a in acc])
+        else:
+            h = ppowmod(F, h, F.p, rest)
+            if d == 1:
+                xp = h
+        g = gcd_over_field(F, psub(F, pmod(F, h, rest), x), rest)
         if pdeg(g) >= 1:
             out.append((d, g))
             rest = pdivmod(F, rest, g)[0]
-            h = pmod(F, h, rest)
+        if not Q and d * F.p.bit_length() >= min(F.p, pdeg(rest)):
+            h, xp, Q = pmod(F, h, rest), pmod(F, xp, rest), [[F.one]]
+            while len(Q) < pdeg(rest):
+                Q.append(pmod(F, pmul(F, Q[-1], xp), rest))
     if pdeg(rest) >= 1:
         out.append((pdeg(rest), rest))
     return out

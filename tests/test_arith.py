@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from growthlab.arith import (
     PrimePowerIndex,
+    _integer_kth_root,
     factorint,
     is_prime,
     legendre,
@@ -41,6 +44,62 @@ def test_huge_indices():
     assert count_max_submodules(trivial, 2 ** 1100) == 0
     zx = Presented(gens=1, relations=())
     assert count_max_submodules(zx, 2 ** 1100) == count_irreducibles(2, 1100)
+
+
+def _root_by_bisection(n, k):
+    lo, hi = 0, 1 << -(-n.bit_length() // k)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _decompose_by_bisection(n):
+    """Every exponent k from n.bit_length() down to 1, each root by
+    bisection; a ValueError of is_prime is returned as its type."""
+    try:
+        for k in range(n.bit_length(), 0, -1):
+            p = _root_by_bisection(n, k) if k > 1 else n
+            if p ** k == n and is_prime(p):
+                return PrimePowerIndex(n, p, k)
+        return None
+    except ValueError as exc:
+        return type(exc)
+
+
+def _decompose(n):
+    try:
+        return prime_power_decompose(n)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_prime_power_decompose_matches_bisection():
+    # n = p^k +- 1 past 3.3e24 with no small factor is refused by is_prime
+    # either way
+    cases = list(range(2, 5001)) + [6 ** 10, 2 ** 64 * 3]
+    for p in (2, 3, 5, 7, 11, 101, 65_537, 1_000_003, 2 ** 31 - 1, 2 ** 61 - 1):
+        for k in range(1, 9):
+            cases += [p ** k - 1, p ** k, p ** k + 1]
+    for n in cases:
+        if n >= 2:
+            assert _decompose(n) == _decompose_by_bisection(n), n
+
+
+def test_integer_kth_root_matches_bisection():
+    # around exact powers, where a float estimate is off by one, and past
+    # float range
+    rng = random.Random(3)
+    for _ in range(150):
+        bits = rng.choice((8, 40, 70, 200, 1100))
+        k = rng.randint(2, 70 if bits < 1100 else 5)
+        r = rng.getrandbits(bits)
+        for n in (r ** k - 1, r ** k, r ** k + 1, rng.getrandbits(rng.randint(1, 3000))):
+            if n >= 1:
+                assert _integer_kth_root(n, k) == _root_by_bisection(n, k), (n, k)
 
 
 def test_prime_power_decompose_rejects_small():

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from growthlab import modules
 from growthlab.arith import PrimePowerIndex, factorint, is_prime
 from growthlab.linalg import rank
 from growthlab.modules import (
@@ -23,6 +24,7 @@ from growthlab.modules import (
     prime_profile,
     split_triv_nontriv,
 )
+from growthlab.groups import SemidirectFgAbelian, mdeg
 from growthlab.oracle import oracle_count_max_submodules
 from growthlab.poly import PrimeField, factor_mod_p, parse_poly, pmonic, pmul
 
@@ -356,9 +358,9 @@ def test_local_field_near_2_61():
 
 
 def test_one_count_tests_its_prime_once():
-    # count_max_submodules checks p in prime_power_decompose, PrimePowerIndex,
-    # fiber_mod_p and every factor_mod_p of the joint spectrum; the cache
-    # leaves one Miller-Rabin run for the pair of counts at p and p^2
+    # count_max_submodules checks p in prime_power_decompose, PrimePowerIndex
+    # and fiber_mod_p; the cache leaves one Miller-Rabin run for the pair of
+    # counts at p and p^2
     p = 2 ** 61 - 1
     A = [[1, 1], [0, 2]]
     m = _ma(2, [A, [[4, 5], [0, 9]]])  # A and A^2 + 2A + I
@@ -559,6 +561,73 @@ def test_one_action_profile_matches_joint_spectrum():
             assert prime_profile(m, p) == _joint_spectrum_profile(m, p), (m, p)
 
 
+def _polynomial_in(A, coefficients):
+    """sum_i c_i A^i over Z, coefficients ascending."""
+    n = len(A)
+    power = [[int(r == c) for c in range(n)] for r in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for c in coefficients:
+        out = [[x + c * y for x, y in zip(row, prow)] for row, prow in zip(out, power)]
+        power = _mat_mul(power, A)
+    return out
+
+
+def test_cyclic_fiber_profile_matches_joint_spectrum():
+    # (A, f(A)) with torsion: the fiber is read off the min poly of A at
+    # every prime where A is cyclic, and joint_spectrum's Frobenius path is
+    # the reference, at the primes of the torsion and far past the oracle
+    rng = random.Random(15)
+    for _ in range(40):
+        one = _random_action_with_torsion(rng)
+        A = one.actions[0]
+        f = [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]
+        m = _ma(one.k, [A, _polynomial_in(A, f)], torsion=one.torsion)
+        for p in (2, 3, 5, 7, 1_000_003, 2 ** 31 - 1, 2 ** 61 - 1):
+            assert prime_profile(m, p) == _joint_spectrum_profile(m, p), (m, p)
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(modules, name, counted(name, getattr(modules, name)))
+    return calls
+
+
+def test_cyclic_fiber_skips_the_joint_spectrum(monkeypatch):
+    # CYCLE3 has min poly x^3 - 1 at every p, so (CYCLE3, CYCLE3^2) and
+    # (I, CYCLE3), cyclic in the second action only, factor nothing; in
+    # M (+) M every min poly has degree at most 3 < 6
+    p = 1_000_003
+    square = _mat_mul(CYCLE3, CYCLE3)
+    identity = [[int(r == c) for c in range(3)] for r in range(3)]
+    cyclic = [_ma(3, [CYCLE3, square]), _ma(3, [identity, CYCLE3])]
+    doubled = _ma(6, [_block_diag(CYCLE3, CYCLE3), _block_diag(square, square)])
+    expected = [_joint_spectrum_profile(m, p) for m in cyclic + [doubled]]
+    calls = _count_calls(monkeypatch, "joint_spectrum", "factor_mod_p")
+    assert [prime_profile(m, p) for m in cyclic] == expected[:2]
+    assert calls == {"joint_spectrum": 0, "factor_mod_p": 0}
+    assert prime_profile(doubled, p) == expected[2]
+    assert calls["joint_spectrum"] == 1
+    # x^3 - 1 = (x - 1)(x^2 + x + 1) with p = 1 mod 3: three roots
+    assert expected[0].entries == (SpectrumEntry(1, 1),) * 3
+    assert expected[2].entries == (SpectrumEntry(1, 2),) * 3
+
+
+def test_torsion_only_fiber_at_a_prime_off_the_torsion():
+    # the fiber is 0: a 0 x 0 action has min poly 1, of degree 0 = dim, yet
+    # no simple quotient
+    m = _ma(0, [[[2, 0], [0, 1]], [[1, 0], [0, 2]]], torsion=(3, 5))
+    assert prime_profile(m, 7) == PrimeProfile(p=7, entries=(), generic_rank=0, trivial_rank=0)
+    assert count_max_submodules(m, 7) == 0
+
+
 # -- characteristic-zero invariants with two or more actions ---------------------
 
 # companion(x^2 - 3x + 1) (+) companion(x^2 - 33x + 1): s = 2 at p = 2, 3, 5 and
@@ -710,3 +779,30 @@ def test_profile_is_invariant_under_conjugation():
             conjugated = [_mat_mul(_mat_mul(U, M), V) for M in actions]
             for p in (2, 3, 5, 1_000_003, 2 ** 31 - 1):
                 assert prime_profile(_ma(4, actions), p) == prime_profile(_ma(4, conjugated), p), (actions, p)
+
+
+def _cycle(m):
+    return [[int((c + 1) % m == r) for c in range(m)] for r in range(m)]
+
+
+def test_cyclic_top_skips_the_algebra_walk(monkeypatch):
+    # the 12-cycle P is cyclic on its top Q^12, so it is the generic
+    # operator, with no algebra basis.  In M (+) M no action is cyclic on
+    # the top, so the walk runs, and every multiplicity doubles
+    calls = _count_calls(monkeypatch, "_algebra_basis")
+    module_invariants.cache_clear()
+    P = _cycle(12)
+    g = SemidirectFgAbelian(
+        module=_ma(12, [P, _mat_mul(P, P)], group_action=True), acting_rank=0, acting_torsion=(12, 12)
+    )
+    assert mdeg(g).value == 1
+    assert _invariants(g.module) == (1, 1, 1)
+    assert calls["_algebra_basis"] == 0
+    rng = random.Random(16)
+    cases = [UNIPOTENTS, [PAIR_A, PAIR_A], [CYCLE3, _mat_mul(CYCLE3, CYCLE3)]] + [_commuting_pair(rng) for _ in range(6)]
+    for actions in cases:
+        k = len(actions[0])
+        d, d_nt, t = _invariants(_ma(k, actions))
+        walks = calls["_algebra_basis"]
+        assert _invariants(_ma(2 * k, [_block_diag(M, M) for M in actions])) == (2 * d, 2 * d_nt, 2 * t)
+        assert calls["_algebra_basis"] == walks + 1

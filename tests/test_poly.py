@@ -28,6 +28,7 @@ from growthlab.poly import (
     pmul,
     pnormalize,
     poly_to_str,
+    ppowmod,
     psub,
     squarefree_part,
 )
@@ -174,6 +175,42 @@ def test_distinct_degree_blocks_tally_the_factor_degrees(p):
         for _, g in blocks:
             product = pmul(F, product, g)
         assert product == f
+
+
+def _ddf_by_powers(F, f):
+    """Distinct-degree factorization that takes h = x^(p^d) by a fresh
+    ppowmod modulo what is left of f at every step."""
+    out, x, h, d, rest = [], [F.zero, F.one], [F.zero, F.one], 0, f
+    while pdeg(rest) >= 2 * (d + 1):
+        d += 1
+        h = ppowmod(F, h, F.p, rest)
+        g = gcd_over_field(F, psub(F, h, x), rest)
+        if pdeg(g) >= 1:
+            out.append((d, g))
+            rest = pdivmod(F, rest, g)[0]
+            h = pmod(F, h, rest)
+    if pdeg(rest) >= 1:
+        out.append((pdeg(rest), rest))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 41, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_distinct_degree_factorization_matches_fresh_powers(p):
+    # the Frobenius matrix Q takes over from ppowmod after a few steps at
+    # p = 41 and from the first at the other primes; squarefree parts of
+    # seeded polynomials up to degree 40, and products of small factors,
+    # which split in a few steps, must give the blocks of the reference
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for trial in range(12):
+        if trial % 3:
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 40))] + [1]
+        else:
+            f = [1]
+            for _ in range(rng.randint(1, 12)):
+                f = pmul(F, f, [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1])
+        f = squarefree_part(F, f)
+        assert distinct_degree_factorization(F, f) == _ddf_by_powers(F, f), (p, f)
 
 
 def test_count_irreducibles_values():
