@@ -620,14 +620,6 @@ def test_cyclic_fiber_skips_the_joint_spectrum(monkeypatch):
     assert expected[2].entries == (SpectrumEntry(1, 2),) * 3
 
 
-def test_torsion_only_fiber_at_a_prime_off_the_torsion():
-    # the fiber is 0: a 0 x 0 action has min poly 1, of degree 0 = dim, yet
-    # no simple quotient
-    m = _ma(0, [[[2, 0], [0, 1]], [[1, 0], [0, 2]]], torsion=(3, 5))
-    assert prime_profile(m, 7) == PrimeProfile(p=7, entries=(), generic_rank=0, trivial_rank=0)
-    assert count_max_submodules(m, 7) == 0
-
-
 # -- characteristic-zero invariants with two or more actions ---------------------
 
 # companion(x^2 - 3x + 1) (+) companion(x^2 - 33x + 1): s = 2 at p = 2, 3, 5 and
@@ -706,6 +698,10 @@ def test_trivial_top_from_the_images():
 def test_torsion_only_two_actions_have_no_top():
     m = _ma(0, [[[2, 0], [0, 1]], [[1, 0], [0, 2]]], torsion=(3, 5))
     assert _invariants(m) == (0, 0, 0)
+    # at p = 7 the fiber is 0: a 0 x 0 action has min poly 1, of degree
+    # 0 = dim, yet no simple quotient
+    assert prime_profile(m, 7) == PrimeProfile(p=7, entries=(), generic_rank=0, trivial_rank=0)
+    assert count_max_submodules(m, 7) == 0
 
 
 def test_generic_d_matches_large_primes():
