@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "PrimePowerIndex",
@@ -25,8 +26,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-@dataclass(frozen=True)
-class PrimePowerIndex:
+class PrimePowerIndex(Record):
     """An index n together with its decomposition n = p**k."""
 
     n: int

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .arith import prime_power_decompose
 from .groups import (
@@ -33,11 +32,6 @@ from .modules import (
     count_max_submodules,
     fiber_mod_p,
     growth_type_classify,
-)
-from .oracle import (
-    SUBSPACE_STATE_BOUND,
-    OracleBoundError,
-    oracle_count_max_submodules,
 )
 from .poly import count_irreducibles, parse_poly
 
@@ -206,11 +200,11 @@ def cmd_table(args) -> int:
             lines.append(f"{r.n},{r.p},{r.k},{r.count},{r.mtriv},{r.mnontriv},true")
         out = "\n".join(lines) + "\n"
     else:
-        # the row and mdeg keys are the dataclass fields, in their order,
+        # the row and mdeg keys are the record fields, in their order,
         # then a row's "exact"
-        doc = {"rows": [{**asdict(r), "exact": True} for r in report.rows], "exactness": "exact"}
+        doc = {"rows": [{**r._asdict(), "exact": True} for r in report.rows], "exactness": "exact"}
         if report.mdeg is not None:
-            doc["mdeg"] = asdict(report.mdeg)
+            doc["mdeg"] = report.mdeg._asdict()
         if report.asymptotic is not None:
             doc["asymptotic"] = {
                 "rho1": report.asymptotic[0],
@@ -268,6 +262,9 @@ def cmd_growth_type(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # only `check` runs the oracle, so no other command pays for its import
+    from .oracle import SUBSPACE_STATE_BOUND, OracleBoundError, oracle_count_max_submodules
+
     desc = load_spec(args.spec)
     if isinstance(desc, WreathCyclic):
         desc = desc.expand()

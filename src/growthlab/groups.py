@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .arith import factorint, prime_power_decompose, primes_up_to
 from .linalg import mat_mul, min_poly_of_matrix, smith_normal_form_int
 from .modules import (
@@ -48,8 +48,7 @@ MAX_PRESENTED_GENS = MAX_NILPOTENT_ELL * (MAX_NILPOTENT_ELL + 1) // 2
 MAX_WREATH_ORDER = 32
 
 
-@dataclass(frozen=True)
-class SemidirectFgAbelian:
+class SemidirectFgAbelian(Record):
     """N x| A for A f.g. abelian of rank `acting_rank` with torsion orders
     `acting_torsion`; one action matrix per generator of A, free first."""
 
@@ -87,13 +86,12 @@ class SemidirectFgAbelian:
                 )
 
 
-@dataclass(frozen=True)
 class ZkByZ(SemidirectFgAbelian):
     """Z^k (+) torsion, extended by Z acting through one automorphism: N x| A
     with A = Z.  ZkByZ(module) fixes the acting group."""
 
-    acting_rank: int = field(default=1, init=False)
-    acting_torsion: tuple[int, ...] = field(default=(), init=False)
+    def __init__(self, module: MatrixAction):
+        super().__init__(module, 1, ())
 
 
 def _has_finite_order(block) -> bool:
@@ -129,8 +127,7 @@ def _endo_pow(a, e, k, torsion):
     return out
 
 
-@dataclass(frozen=True)
-class WreathCyclic:
+class WreathCyclic(Record):
     """Z wr Z/mZ: the module Z^m with the m-cycle coordinate permutation,
     acted on by the cyclic group of order m."""
 
@@ -153,8 +150,7 @@ class WreathCyclic:
         )
 
 
-@dataclass(frozen=True)
-class NilpotentGf:
+class NilpotentGf(Record):
     """Nilpotent group on x_1..x_ell with center Z^k, k = C(ell,2), and
     relations [x_i, x_j] = f(i,j) in the center."""
 
@@ -196,15 +192,13 @@ class NilpotentGf:
 GroupDescriptor = SemidirectFgAbelian | WreathCyclic | NilpotentGf
 
 
-@dataclass(frozen=True)
-class MdegValue:
+class MdegValue(Record):
     value: int
     provenance: str  # "exact-theorem"
     exactness: str  # "exact"
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(Record):
     n: int
     p: int
     k: int
@@ -213,8 +207,7 @@ class GrowthRow:
     mnontriv: int
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(Record):
     rows: tuple[GrowthRow, ...]
     mdeg: MdegValue | None
     asymptotic: tuple[int, int] | None  # (rho1, d)

@@ -10,9 +10,9 @@ there are no rows to infer it from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .poly import (
     PrimeField,
     gcd_over_field,
@@ -195,8 +195,7 @@ def min_poly_of_matrix(F, A):
 # -- Smith normal form --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithResult:
+class SmithResult(Record):
     """Nonzero invariant factors d_1 | d_2 | ... (units included)."""
 
     diagonal: tuple

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .arith import is_prime, prime_power_decompose, primes_up_to
 from .linalg import (
     identity_matrix,
@@ -63,8 +63,7 @@ def _as_matrix_tuple(m):
     return tuple(tuple(int(x) for x in row) for row in m)
 
 
-@dataclass(frozen=True)
-class MatrixAction:
+class MatrixAction(Record):
     """Z^k (+) (+)_j Z/t_j with l commuting integer matrices acting on it.
 
     Matrix columns are the images of the generators: the first k columns are
@@ -148,8 +147,7 @@ class MatrixAction:
         return [tuple(row[:k] for row in a[:k]) for a in self.actions]
 
 
-@dataclass(frozen=True)
-class Presented:
+class Presented(Record):
     """Cokernel of a relation matrix over Z[x] (one variable).
 
     `relations` has `gens` rows; each column is one relation.  Entries are
@@ -175,8 +173,7 @@ class Presented:
 ModuleDescriptor = MatrixAction | Presented
 
 
-@dataclass(frozen=True)
-class FiberModule:
+class FiberModule(Record):
     """The F_p-module N/pN with its induced commuting actions."""
 
     p: int
@@ -196,8 +193,7 @@ class FiberModule:
                     raise ValueError("fiber actions do not commute")
 
 
-@dataclass(frozen=True)
-class PresentedFiber:
+class PresentedFiber(Record):
     """N/pN as an F_p[x]-module: non-unit invariant factors plus free rank."""
 
     p: int
@@ -205,17 +201,18 @@ class PresentedFiber:
     free_rank: int
 
 
-@dataclass(frozen=True, order=True)
-class SpectrumEntry:
+class SpectrumEntry(Record):
     """One maximal ideal of the fiber algebra: residue field F_{p^e},
     multiplicity s."""
 
     e: int
     s: int
 
+    def __lt__(self, other):
+        return (self.e, self.s) < (other.e, other.s)
 
-@dataclass(frozen=True)
-class ModuleInvariants:
+
+class ModuleInvariants(Record):
     """Simple quotients of the fiber at a generic prime: d is their largest
     multiplicity, d_nt the largest among the nontrivial ones, t that of the
     trivial one.  a are the Q[x] invariant factors read (rho: distinct complex
@@ -229,8 +226,7 @@ class ModuleInvariants:
     r0: int | None
 
 
-@dataclass(frozen=True)
-class GrowthType:
+class GrowthType(Record):
     """Trichotomy: n^degree polynomial growth, or n^degree/log n."""
 
     kind: str  # "PolyDegree" | "SubPoly"
@@ -442,8 +438,7 @@ def joint_spectrum(fiber: FiberModule) -> tuple[SpectrumEntry, ...]:
 # -- per-prime profile -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeProfile:
+class PrimeProfile(Record):
     """Everything the counts at the powers of p are read from.
 
     `entries` are the simple quotients of the fiber N/pN, residue degree e

@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .arith import is_prime, mobius
 
 # Seed of the random elements that Cantor-Zassenhaus splits with, so each
@@ -272,8 +272,7 @@ def distinct_complex_root_count(f) -> int:
 # -- factorization over F_p ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorizationModP:
+class FactorizationModP(Record):
     """Complete factorization over F_p: unit * prod(factor**mult)."""
 
     p: int

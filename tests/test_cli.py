@@ -98,6 +98,11 @@ def test_table_json(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert any(r["n"] == 7 and r["count"] == 15 for r in doc["rows"])
+    # the keys keep the fields' order, so the text does not move
+    assert doc["rows"] and all(
+        list(r) == ["n", "p", "k", "count", "mtriv", "mnontriv", "exact"] for r in doc["rows"]
+    )
+    assert list(doc["mdeg"]) == ["value", "provenance", "exactness"]
 
 
 def test_mdeg(tmp_path, capsys):

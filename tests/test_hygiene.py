@@ -1,10 +1,14 @@
 """Static checks on the growthlab sources: no unused top-level import, no
-private top-level function that nothing in the package calls, and every
-function the benchmark hooks into still exists."""
+private top-level function that nothing in the package calls, every
+function the benchmark hooks into still exists, and the CLI imports no
+module it does not need at start-up."""
 
 import ast
 import functools
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import growthlab
@@ -86,3 +90,13 @@ def test_both_fields_offer_one_protocol():
         return {name for name in vars(cls) if not name.startswith("_") and name not in slots}
 
     assert protocol(PrimeField) == protocol(RationalField) == {"zero", "one", "from_int", "inv", "reduce"}
+
+
+def test_cli_import_loads_no_slow_modules():
+    # every command pays for what `growthlab.cli` imports; -S keeps site's
+    # .pth files from importing these modules themselves and hiding a regression
+    slow = ("dataclasses", "inspect", "typing", "growthlab.oracle")
+    code = f"import growthlab.cli, sys; print([m for m in {slow!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
