@@ -1,7 +1,9 @@
-"""Exact integer arithmetic and elementary number theory helpers.
+"""Primes and prime powers: the integer arithmetic the counts are indexed by.
 
-Everything here works with Python's arbitrary-precision ints; counts such as
-p**(l + t - 1) routinely overflow 64 bits.
+A primality test, the decomposition of an index n = p**k, and a sieve.
+Nothing here factors an integer.  Everything works with Python's
+arbitrary-precision ints; counts such as p**(l + t - 1) routinely overflow
+64 bits.
 """
 
 from __future__ import annotations
@@ -10,16 +12,6 @@ import functools
 import math
 
 from ._record import Record
-
-__all__ = [
-    "PrimePowerIndex",
-    "is_prime",
-    "prime_power_decompose",
-    "mobius",
-    "legendre",
-    "primes_up_to",
-    "factorint",
-]
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -115,79 +107,6 @@ def _integer_kth_root(n: int, k: int) -> int:
         if s >= r:
             return r
         r = s
-
-
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization by trial division with a Pollard-rho fallback."""
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= n and f < 1_000_000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += wheel[i]
-        i = (i + 1) % 8
-    if n > 1:
-        for p in _factor_large(n):
-            out[p] = out.get(p, 0) + 1
-    return out
-
-
-def _factor_large(n: int) -> list[int]:
-    if n == 1:
-        return []
-    if is_prime(n):
-        return [n]
-    d = _pollard_rho(n)
-    return sorted(_factor_large(d) + _factor_large(n // d))
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
-
-
-def mobius(m: int) -> int:
-    """Standard Moebius function from the factorization of m."""
-    if m < 1:
-        raise ValueError(f"mobius undefined for {m}")
-    if m == 1:
-        return 1
-    fac = factorint(m)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) by Euler's criterion; p must be an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 def primes_up_to(bound: int) -> list[int]:

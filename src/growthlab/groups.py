@@ -15,10 +15,9 @@ quotient S, counted by the module engine.
 from __future__ import annotations
 
 import functools
-import math
 
 from ._record import Record
-from .arith import factorint, prime_power_decompose, primes_up_to
+from .arith import prime_power_decompose, primes_up_to
 from .linalg import mat_mul, min_poly_of_matrix, smith_normal_form_int
 from .modules import (
     MatrixAction,
@@ -97,14 +96,18 @@ class ZkByZ(SemidirectFgAbelian):
 def _has_finite_order(block) -> bool:
     """Whether a square integer matrix has finite order, i.e. its min poly
     over Q is a squarefree product of cyclotomic Phi_n.  Each such n has
-    phi(n) <= size, and phi(n) >= sqrt(n/2) bounds the n to try.  Phi_n is
-    x^n - 1 divided by the Phi_d, d | n, d < n, which were built before it
-    since phi(d) <= phi(n)."""
+    phi(n) <= size, and phi(n) >= sqrt(n/2) bounds the n to try; phi comes
+    from one sieve over them.  Phi_n is x^n - 1 divided by the Phi_d, d | n,
+    d < n, which were built before it since phi(d) <= phi(n)."""
     rest = min_poly_of_matrix(QQ, block)
+    bound = 2 * len(block) ** 2
+    phi = list(range(bound + 1))
+    for q in primes_up_to(bound):
+        for n in range(q, bound + 1, q):
+            phi[n] -= phi[n] // q
     cyclotomic = {}
-    for n in range(1, 2 * len(block) ** 2 + 1):
-        primes = factorint(n)
-        if n // math.prod(primes) * math.prod(q - 1 for q in primes) <= pdeg(rest):
+    for n in range(1, bound + 1):
+        if phi[n] <= pdeg(rest):
             f = [-1] + [0] * (n - 1) + [1]
             for d in [d for d in cyclotomic if n % d == 0]:
                 f = pdivmod(QQ, f, cyclotomic[d])[0]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 from ._record import Record
 from .arith import is_prime, prime_power_decompose, primes_up_to
@@ -215,13 +216,14 @@ class SpectrumEntry(Record):
 class ModuleInvariants(Record):
     """Simple quotients of the fiber at a generic prime: d is their largest
     multiplicity, d_nt the largest among the nontrivial ones, t that of the
-    trivial one.  a are the Q[x] invariant factors read (rho: distinct complex
-    roots of each); r0 the free rank of a module in one variable."""
+    trivial one.  a are the non-unit Q[x] invariant factors read, monic with
+    exact Fraction coefficients (rho: distinct complex roots of each); r0 the
+    free rank of a module in one variable."""
 
     d: int
     d_nt: int
     t: int
-    a: tuple[tuple[int, ...], ...]
+    a: tuple[tuple[Fraction, ...], ...]
     rho: tuple[int, ...]
     r0: int | None
 
@@ -647,7 +649,8 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
     r0 + #{i : h | b_i}, largest for h | b_1, so d = r0 + s.  The b_i that
     are not a power of x - sigma, sigma the trivial eigenvalue, are those
     divisible by a nontrivial h: d_nt, or d when t = 0.  t is the dimension
-    over Q modulo x - 1, or modulo the images of every A_i - I.  Cached:
+    over Q modulo x - 1, r0 + #{i : b_i(1) = 0}, or modulo the images of
+    every A_i - I.  Cached:
     mdeg, asymptotic_leading and the growth type all read it, keyed on the
     presentation in one variable.
     """
@@ -658,15 +661,15 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
         rows = [[[*e] for e in row] for row in m.relations]
         snf, sigma = smith_normal_form_poly(QQ, rows, ncols=len(rows[0]) if rows else 0), 1
         r0 = m.gens - snf.rank
-        rel_at_1 = [[sum(e) for e in row] for row in m.relations]
-        t = m.gens - rank(QQ, rel_at_1, len(rel_at_1[0]) if rel_at_1 else 0)
     else:
         k, blocks, r0 = m.k, m.free_blocks(), None
         images = [[blk[r][c] - (r == c) for r in range(k)] for blk in blocks for c in range(k)]
         t = k - rank(QQ, images, k)
         op, sigma = (blocks[0], 1) if k == 0 else _generic_operator(blocks, k)
         snf = smith_normal_form_poly(QQ, x_minus_matrix(QQ, op), ncols=len(op))
-    a = tuple(tuple(int(c) for c in b) for b in snf.diagonal if pdeg(b) >= 1)
+    a = tuple(b for b in snf.diagonal if pdeg(b) >= 1)
+    if isinstance(m, Presented):
+        t = r0 + sum(1 for b in a if peval(QQ, b, 1) == 0)
     rho = tuple(distinct_complex_root_count(list(b)) for b in a)
     # b is a power of x - sigma iff it has one distinct root and sigma is one
     trivial = sum(1 for b, roots in zip(a, rho) if roots == 1 and peval(QQ, list(b), sigma) == 0)

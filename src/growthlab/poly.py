@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 
 from ._record import Record
-from .arith import is_prime, mobius
+from .arith import is_prime
 
 # Seed of the random elements that Cantor-Zassenhaus splits with, so each
 # factorization takes the same steps on every run.
@@ -422,15 +422,22 @@ def _equal_degree_split(F, g, d, rng):
 
 
 def count_irreducibles(p: int, k: int) -> int:
-    """Number of monic irreducible degree-k polynomials over F_p.
+    """Number N_k of monic irreducible degree-k polynomials over F_p, p prime.
 
-    Gauss's necklace formula (1/k) * sum_{a | k} mu(k/a) p**a.
+    x^(p^k) - x is the product of the monic irreducibles whose degree divides
+    k, so p^k = sum_{d | k} d N_d (Gauss).  Each N_d, for the divisors d of k
+    in increasing order, follows from the N_e of the smaller divisors e of d.
     """
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
-    total = sum(mobius(k // a) * p ** a for a in range(1, k + 1) if k % a == 0)
-    assert total % k == 0
-    return total // k
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    counts: dict[int, int] = {}
+    for d in (d for d in range(1, k + 1) if k % d == 0):
+        total = p ** d - sum(e * n for e, n in counts.items() if d % e == 0)
+        assert total % d == 0
+        counts[d] = total // d
+    return counts[k]
 
 
 # -- text format ---------------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from growthlab.arith import is_prime, legendre, prime_power_decompose, primes_up_to
+from growthlab.arith import is_prime, prime_power_decompose, primes_up_to
 from growthlab.cli import main as cli_main
 from growthlab.groups import (
     NilpotentGf,
@@ -310,8 +310,9 @@ def test_criterion_7_leading_term_bound():
 
 def test_criterion_8_quadratic_reciprocity_regression():
     start = time.monotonic()
-    # p = 3 ramifies: x^2+x+1 = (x-1)^2 and legendre(-3,3) = 0, so the
-    # two-way equivalence is stated for odd primes p != 3
+    # p = 3 ramifies: x^2+x+1 = (x-1)^2 and (-3|3) = 0, so the two-way
+    # equivalence is stated for odd primes p != 3; (-3|p) is taken by
+    # Euler's criterion
     for p in primes_up_to(5000):
         if p in (2, 3):
             continue
@@ -319,7 +320,7 @@ def test_criterion_8_quadratic_reciprocity_regression():
         fac = factor_mod_p(int_poly_to_field(F, [1, 1, 1]), p)
         reducible = len(fac.factors) > 1
         assert reducible == (p % 3 == 1), p
-        assert (legendre(-3, p) == 1) == (p % 3 == 1), p
+        assert (pow(-3 % p, (p - 1) // 2, p) == 1) == (p % 3 == 1), p
     _budget(start, 10, "criterion 8")
     print("criterion 8 (x^2+x+1 splits iff p = 1 mod 3 iff (-3|p) = 1): PASS")
 

@@ -1,15 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from growthlab.arith import (
     PrimePowerIndex,
     _integer_kth_root,
-    factorint,
     is_prime,
-    legendre,
-    mobius,
     prime_power_decompose,
     primes_up_to,
 )
@@ -114,65 +110,6 @@ def test_prime_power_index_validates():
         PrimePowerIndex(9, 3, 1)
     with pytest.raises(ValueError):
         PrimePowerIndex(8, 4, 2)
-
-
-def test_factorint_examples():
-    assert factorint(12) == {2: 2, 3: 1}
-    assert factorint(97) == {97: 1}
-    assert factorint(1) == {}
-    assert factorint(2 ** 10 * 3 ** 4 * 101) == {2: 10, 3: 4, 101: 1}
-
-
-@given(st.integers(min_value=2, max_value=10 ** 9))
-def test_factorint_remultiplies(n):
-    fac = factorint(n)
-    prod = 1
-    for p, e in fac.items():
-        assert is_prime(p)
-        prod *= p ** e
-    assert prod == n
-
-
-def test_mobius_values():
-    assert [mobius(n) for n in range(1, 13)] == [
-        1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0,
-    ]
-
-
-@given(st.integers(min_value=1, max_value=3000))
-def test_mobius_divisor_sum(n):
-    total = sum(mobius(d) for d in range(1, n + 1) if n % d == 0)
-    assert total == (1 if n == 1 else 0)
-
-
-def test_legendre_examples():
-    assert legendre(2, 7) == 1
-    assert legendre(3, 7) == -1
-    assert legendre(14, 7) == 0
-    assert legendre(-3, 7) == 1  # 7 = 1 mod 3
-
-
-def test_legendre_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        legendre(2, 4)
-    with pytest.raises(ValueError):
-        legendre(2, 2)
-
-
-@given(
-    st.integers(min_value=-50, max_value=50),
-    st.integers(min_value=-50, max_value=50),
-    st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
-)
-def test_legendre_multiplicative(a, b, p):
-    assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
-
-
-@given(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
-def test_legendre_euler_criterion(p):
-    squares = {(x * x) % p for x in range(1, p)}
-    for a in range(1, p):
-        assert legendre(a, p) == (1 if a in squares else -1)
 
 
 def test_primes_up_to():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import growthlab
-from growthlab import modules
+from growthlab import groups, modules
 from growthlab.cli import SpecError, main, parse_spec
 from growthlab.groups import MAX_NILPOTENT_ELL, MAX_PRESENTED_GENS, MAX_WREATH_ORDER
 from growthlab.poly import MAX_EXPONENT, QQ, poly_to_str
@@ -351,6 +351,53 @@ def test_acting_torsion_order_is_checked_without_a_stall(tmp_path, capsys):
     assert code == 0 and out.startswith("n,p,k,count,mtriv,mnontriv,exact\n")
 
 
+def _cyclotomic(n):
+    """Phi_n over Z, ascending: x^n - 1 divided by each Phi_d, d | n, d < n."""
+    f = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            g = _cyclotomic(d)
+            q = [0] * (len(f) - len(g) + 1)
+            for i in reversed(range(len(q))):
+                q[i] = f[i + len(g) - 1]
+                for j, c in enumerate(g):
+                    f[i + j] -= q[i] * c
+            assert not any(f)
+            f = q
+    return f
+
+
+# phi(n) >= sqrt(n/2), so every n with phi(n) <= 6 is below 73
+SMALL_PHI = [n for n in range(2, 73) if sum(math.gcd(n, i) == 1 for i in range(n)) <= 6]
+
+
+@pytest.mark.parametrize("n", SMALL_PHI)
+def test_cyclotomic_companion_has_order_n(tmp_path, capsys, n):
+    # the companion of Phi_n acts with order exactly n
+    f = _cyclotomic(n)
+    size = len(f) - 1
+    companion = [[int(r == c + 1) for c in range(size - 1)] + [-f[r]] for r in range(size)]
+    doc = {"type": "semidirect", "acting_rank": 0, "actions": [companion], "acting_torsion": [n]}
+    code, out, err = _run(["mdeg", _spec(tmp_path, doc)], capsys)
+    assert (code, err) == (0, "") and out
+    code, out, err = _run(["mdeg", _spec(tmp_path, dict(doc, acting_torsion=[n + 1]))], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"spec error: acting torsion generator 0 has order {n + 1} but its action matrix does not\n"
+
+
+def test_non_squarefree_min_poly_is_refused_before_any_power(tmp_path, capsys, monkeypatch):
+    # [[1, 1], [0, 1]] has min poly (x - 1)^2: a cyclotomic factor, but not
+    # squarefree, so its order is infinite
+    def no_power(*args):
+        raise AssertionError("a power was taken")
+
+    monkeypatch.setattr(groups, "_endo_pow", no_power)
+    doc = {"type": "semidirect", "acting_rank": 0, "actions": [[[1, 1], [0, 1]]], "acting_torsion": [2]}
+    code, out, err = _run(["table", _spec(tmp_path, doc), "--max-n", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "spec error: acting torsion generator 0 has order 2 but its action matrix does not\n"
+
+
 def test_two_action_mdeg_is_exact(tmp_path, capsys):
     def block_diag(A, B):
         return [r + [0] * len(B) for r in A] + [[0] * len(A) + r for r in B]
@@ -662,6 +709,11 @@ def test_irreducibles(capsys):
     assert out.strip() == "3"
     code2, out2, _ = _run(["irreducibles", "--p", "5", "--k", "1"], capsys)
     assert out2.strip() == "5"
+
+
+def test_irreducibles_refuses_a_non_prime(capsys):
+    for p, k in (("4", "1"), ("1", "2"), ("-3", "2")):
+        assert _run(["irreducibles", "--p", p, "--k", k], capsys) == (3, "", f"error: {p} is not prime\n")
 
 
 def _assert_one_qx_smith_form(monkeypatch, capsys, commands):

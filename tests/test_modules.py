@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthlab import modules
-from growthlab.arith import PrimePowerIndex, factorint, is_prime
+from growthlab.arith import PrimePowerIndex, is_prime
 from growthlab.linalg import rank
 from growthlab.modules import (
     FiberModule,
@@ -26,7 +27,7 @@ from growthlab.modules import (
 )
 from growthlab.groups import SemidirectFgAbelian, mdeg
 from growthlab.oracle import oracle_count_max_submodules
-from growthlab.poly import PrimeField, factor_mod_p, parse_poly, pmonic, pmul
+from growthlab.poly import QQ, PrimeField, factor_mod_p, parse_poly, pmonic, pmul
 
 
 def _ma(k, actions, torsion=(), group_action=False):
@@ -255,6 +256,34 @@ def test_module_invariants_presented():
     free = Presented(gens=1, relations=(((0,),),))
     invf = module_invariants(free)
     assert invf.r0 == 1 and len(invf.a) == 0 and invf.d == 1
+
+
+def test_module_invariants_keep_non_integral_factors():
+    # coker diag(x - 1, 2x - 3) is Q[x]/((x - 1)(x - 3/2)): two simple
+    # quotients, one nontrivial, which no integer truncation of the factor
+    # x^2 - 5x/2 + 3/2 keeps
+    m = Presented(gens=2, relations=(((-1, 1), ()), ((), (-3, 2))))
+    inv = module_invariants(m)
+    assert inv.a == ((Fraction(3, 2), Fraction(-5, 2), 1),)
+    assert (inv.rho, inv.d, inv.d_nt, inv.t, inv.r0) == ((2,), 1, 1, 1, 0)
+
+
+def test_presented_t_is_the_corank_of_the_relations_at_1():
+    # t, read off the invariant factors, against gens minus the rank of
+    # R(1) over Q; relations are not monic, and a third of the entries are
+    # multiples of x - 1
+    rng = random.Random(17)
+    coefficients = [0, 1, -1, 2, -2, 3]
+    for _ in range(400):
+        gens, nrel = rng.randint(1, 3), rng.randint(0, 3)
+        relations = [[[rng.choice(coefficients) for _ in range(rng.randint(1, 3))] for _ in range(nrel)] for _ in range(gens)]
+        for row in relations:
+            for i, e in enumerate(row):
+                if rng.random() < 1 / 3:
+                    row[i] = [a - b for a, b in zip([0] + e, e + [0])]
+        m = Presented(gens=gens, relations=tuple(tuple(map(tuple, row)) for row in relations) if nrel else ())
+        at_1 = [[sum(e) for e in row] for row in relations]
+        assert module_invariants(m).t == gens - rank(QQ, at_1, nrel), m
 
 
 def test_module_invariants_ell2_trivial_top():
@@ -514,7 +543,8 @@ def _automorphism_per_prime(m):
     k, a = m.k, m.actions[0]
     if _det([row[:k] for row in a[:k]]) not in (1, -1):
         return False
-    for q in {q for t in m.torsion for q in factorint(t)}:
+    # the primes of the t_j by trial division
+    for q in {q for t in m.torsion for q in range(2, t + 1) if t % q == 0 and all(q % r for r in range(2, q))}:
         idxs = [k + j for j, t in enumerate(m.torsion) if t % q == 0]
         if _det([[a[r][c] for c in idxs] for r in idxs]) % q == 0:
             return False

@@ -223,6 +223,33 @@ def test_count_irreducibles_values():
         count_irreducibles(5, 0)
 
 
+def test_count_irreducibles_refuses_a_non_prime():
+    for p in (4, 1, 0, -3, 2 ** 31 + 1):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            count_irreducibles(p, 2)
+
+
+def _mobius(m):
+    """Moebius function by trial division."""
+    sign, q = 1, 2
+    while q * q <= m:
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return -sign if m > 1 else sign
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_count_irreducibles_matches_moebius_inversion(p):
+    # Gauss's formula N_k = (1/k) sum_{d | k} mu(k/d) p^d
+    for k in [*range(1, 61), *([720] if p == 2 else [])]:
+        total = sum(_mobius(k // d) * p ** d for d in range(1, k + 1) if k % d == 0)
+        assert count_irreducibles(p, k) * k == total, (p, k)
+
+
 def test_division_identity():
     F = PrimeField(7)
     a = int_poly_to_field(F, [3, 1, 4, 1, 5])
