@@ -46,6 +46,12 @@ MAX_PRESENTED_GENS = MAX_NILPOTENT_ELL * (MAX_NILPOTENT_ELL + 1) // 2
 # m = 32 and 20 s at m = 64 (same machine).
 MAX_WREATH_ORDER = 32
 
+# Largest n_max accepted by growth_table, and by `check --max-n`, whose loop
+# runs to it.  The sieve of the primes up to it alone took 0.5 s and 10 MB
+# at this bound (same machine); at 10^11 it would take 100 GB, and past
+# 2^63 its bytearray raises OverflowError.
+MAX_TABLE_N = 10 ** 7
+
 
 class SemidirectFgAbelian(Record):
     """N x| A for A f.g. abelian of rank `acting_rank` with torsion orders
@@ -314,13 +320,19 @@ def asymptotic_leading(g: GroupDescriptor) -> tuple[int, int]:
 def growth_table(g, n_max: int) -> GrowthReport:
     """Rows for every prime power n <= n_max, with group/module metadata.
 
-    The fiber at each prime p <= n_max is reduced once, into the profile
-    that the rows at p, p^2, ... are read from.
+    The fiber at each prime p <= n_max is reduced once, into the cached
+    profile that the rows at p, p^2, ... and the growth type are read from.
+    n_max is at most MAX_TABLE_N.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+    if n_max > MAX_TABLE_N:
+        raise ValueError(f"n_max must be <= {MAX_TABLE_N}, got {n_max}")
     is_group = isinstance(g, GroupDescriptor)
     expanded = g.expand() if isinstance(g, WreathCyclic) else g
+    # first, so the profiles it reads at small primes are still cached when
+    # the rows at those primes read them
+    growth_type = growth_type_classify(g)
     rows = []
     for p in primes_up_to(n_max):
         profile = _profile(expanded, p) if is_group else prime_profile(g, p)
@@ -333,4 +345,4 @@ def growth_table(g, n_max: int) -> GrowthReport:
     rows.sort(key=lambda r: r.n)
     mdeg_val = mdeg(expanded) if is_group else None
     asym = asymptotic_leading(expanded) if isinstance(expanded, ZkByZ) else None
-    return GrowthReport(rows=tuple(rows), mdeg=mdeg_val, asymptotic=asym, growth_type=growth_type_classify(g))
+    return GrowthReport(rows=tuple(rows), mdeg=mdeg_val, asymptotic=asym, growth_type=growth_type)

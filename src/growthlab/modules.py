@@ -506,10 +506,16 @@ def _chain_profile(p, factors, free_rank):
     )
 
 
+@functools.lru_cache(maxsize=256)
 def prime_profile(m: ModuleDescriptor, p: int) -> PrimeProfile:
     """The per-prime data of m at p, from one reduction of the fiber: its
     F_p[x] invariant factors in one variable, else one action's min poly or
     joint_spectrum.
+
+    Cached, so the counts and splits at p, p^2, ... of one module, its table
+    rows and the growth type's free-rank jumps all read one profile per
+    (m, p): the key is an immutable, hashable descriptor, and the profile an
+    immutable record of tuples, so no caller can change what another gets.
 
     If some action A has a min poly mu of degree dim over F_p, A is
     nonderogatory, and its centralizer is F_p[A] (Horn & Johnson, Matrix
@@ -695,11 +701,12 @@ def growth_type_classify(m) -> GrowthType | None:
     B + 1 points, which are distinct mod p: so for p > B the free rank is at
     least gens - i iff p divides G_i.  Every jump above r0 needs p | G_(r-1);
     the walk stops once G_(r-1) = 1.  The primes <= B dividing G_(r-1) take
-    their fiber's free rank.  With h what is left of G_(r-1) once those
+    the generic rank of their cached prime_profile, keyed on m as given, as
+    growth_table keys it.  With h what is left of G_(r-1) once those
     primes are divided out, the largest jump above B is gens - i for the
     least i with gcd(G_i, h) > 1.  Nothing is factored.
     """
-    m = _one_variable(m)
+    given, m = m, _one_variable(m)
     if not isinstance(m, Presented):
         return None
     inv = module_invariants(m)
@@ -716,7 +723,7 @@ def growth_type_classify(m) -> GrowthType | None:
     if h != 1:
         for q in primes_up_to(bound):
             if h % q == 0:
-                r_max = max(r_max, fiber_mod_p(m, q).free_rank)
+                r_max = max(r_max, prime_profile(given, q).generic_rank)
                 while h % q == 0:
                     h //= q
         r_max = max(r_max, next((m.gens - i for i, g in enumerate(gcds) if math.gcd(g, h) > 1), r0))

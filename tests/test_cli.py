@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import growthlab
-from growthlab import groups, modules
+from growthlab import cli, groups, modules
 from growthlab.cli import SpecError, main, parse_spec
 from growthlab.groups import MAX_NILPOTENT_ELL, MAX_PRESENTED_GENS, MAX_WREATH_ORDER
 from growthlab.poly import MAX_EXPONENT, QQ, poly_to_str
@@ -185,6 +185,28 @@ def test_check(tmp_path, capsys):
     code, out, _ = _run(["check", spec, "--max-n", "9"], capsys)
     assert code == 0
     assert "MISMATCH" not in out
+
+
+def test_check_builds_one_profile_per_prime(tmp_path, capsys):
+    # Z x| Z by inversion has a 1 x 1 module, so every n <= 30 is checked;
+    # the counts at p, p^2, ... read one cached profile
+    spec = _spec(tmp_path, {"type": "zk_by_z", "matrix": [[-1]]})
+    modules.prime_profile.cache_clear()
+    code, out, _ = _run(["check", spec, "--max-n", "30"], capsys)
+    assert code == 0 and out.count(": ok") == 16
+    assert modules.prime_profile.cache_info().misses == 10  # the primes <= 30
+
+
+def test_table_and_check_refuse_a_huge_max_n(tmp_path, capsys):
+    # 10^20 would overflow the sieve's bytearray and 10^11 allocate 100 GB;
+    # check would loop to either.  10^20 goes first: it fails before any
+    # allocation where the bound is missing
+    spec = _spec(tmp_path, WREATH)
+    for n in (10 ** 20, 10 ** 11, groups.MAX_TABLE_N + 1):
+        assert _run(["table", spec, "--max-n", str(n)], capsys) == (
+            3, "", f"error: n_max must be <= {groups.MAX_TABLE_N}, got {n}\n")
+        assert _run(["check", spec, "--max-n", str(n)], capsys) == (
+            3, "", f"error: --max-n must be <= {groups.MAX_TABLE_N}, got {n}\n")
 
 
 def test_check_exit4_when_nothing_checked(tmp_path, capsys):
@@ -698,6 +720,7 @@ def test_broken_frobenius_invariant_is_raised_not_mapped(tmp_path, monkeypatch):
     identity = [[1, 0], [0, 1]]
     monkeypatch.setattr(modules, "_frobenius_fixed_space", lambda F, alg, dim: [identity, identity])
     modules.joint_spectrum.cache_clear()
+    modules.prime_profile.cache_clear()
     spec = _spec(tmp_path, {"type": "module_matrix", "actions": [identity, identity]})
     with pytest.raises(RuntimeError, match="no fixed element splits"):
         main(["table", spec, "--max-n", "5"])
@@ -714,6 +737,19 @@ def test_irreducibles(capsys):
 def test_irreducibles_refuses_a_non_prime(capsys):
     for p, k in (("4", "1"), ("1", "2"), ("-3", "2")):
         assert _run(["irreducibles", "--p", p, "--k", k], capsys) == (3, "", f"error: {p} is not prime\n")
+
+
+def test_irreducibles_bounds_the_bits_of_the_count(capsys, monkeypatch):
+    # k * p.bit_length() bounds the bits of the printed count; 2 has 2 bits
+    bound = cli.MAX_IRREDUCIBLES_BITS
+    assert _run(["irreducibles", "--p", "2", "--k", str(bound // 2 + 1)], capsys) == (
+        3, "", f"error: --k times the bit length of --p must be <= {bound}, got {bound + 2}\n")
+    monkeypatch.setattr(cli, "MAX_IRREDUCIBLES_BITS", 12)
+    assert _run(["irreducibles", "--p", "2", "--k", "6"], capsys) == (0, "9\n", "")
+    assert _run(["irreducibles", "--p", "7", "--k", "4"], capsys) == (0, "588\n", "")
+    for p, k, bits in (("2", "7", 14), ("7", "5", 15)):
+        assert _run(["irreducibles", "--p", p, "--k", k], capsys) == (
+            3, "", f"error: --k times the bit length of --p must be <= 12, got {bits}\n")
 
 
 def _assert_one_qx_smith_form(monkeypatch, capsys, commands):

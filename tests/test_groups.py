@@ -242,12 +242,25 @@ def test_growth_table_z2():
     assert rows[2] == 3 and rows[3] == 4 and rows[4] == 0 and rows[5] == 6
 
 
+# xI - A has G_(r-1) divisible by 2 and 3, both <= B = 5, so its growth
+# type reads the free rank at p = 2 and 3; relation j is column j
+JUMP_PRIMES_A = [[2, 2, 2, 2, -2], [-1, -1, 2, -2, 0], [-3, -3, 3, 0, 2], [2, -3, 0, -1, 1], [2, 1, -2, 0, 1]]
+JUMP_PRIMES_RELATIONS = [
+    ["x - 2", "1", "3", "-2", "-2"], ["-2", "x + 1", "3", "3", "-1"], ["-2", "-2", "x - 3", "0", "2"],
+    ["-2", "2", "0", "x + 1", "0"], ["2", "0", "-2", "-1", "x - 1"],
+]
+
+
 @pytest.mark.parametrize(
     "g",
     [
         WreathCyclic(9),
         # Z[x]/(x^2 - 1) (+) Z[x]: free rank 1
         Presented(gens=2, relations=(((-1, 0, 1),), ((0,),))),
+        # the growth type's jump primes read the table's profiles, keyed on
+        # the descriptor as given in either form
+        cli.parse_spec({"type": "module_presented", "gens": 5, "relations": JUMP_PRIMES_RELATIONS}),
+        cli.parse_spec({"type": "module_matrix", "actions": [JUMP_PRIMES_A]}),
     ],
 )
 def test_growth_table_reduces_each_fiber_once(monkeypatch, g):
@@ -264,9 +277,27 @@ def test_growth_table_reduces_each_fiber_once(monkeypatch, g):
     monkeypatch.setattr(modules, "fiber_mod_p", counted)
     for namespace in (groups, modules):
         monkeypatch.setattr(namespace, "prime_power_decompose", refused)
+    modules.prime_profile.cache_clear()
     rep = growth_table(g, 200)
     assert len(reduced) == 46 and reduced == primes_up_to(200)  # one reduction per prime
     assert [r.n for r in rep.rows] == sorted(p ** k for p in reduced for k in range(1, 8) if p ** k <= 200)
+
+
+def test_growth_type_reads_its_profiles_before_the_cache_evicts_them(monkeypatch):
+    # 303 primes <= 2000 is past the 256 profiles the cache keeps, so the
+    # growth type is classified first, while its profiles at 2 and 3 are
+    # the newest
+    reduced = []
+    fiber_mod_p = modules.fiber_mod_p
+
+    def counted(m, p):
+        reduced.append(p)
+        return fiber_mod_p(m, p)
+
+    monkeypatch.setattr(modules, "fiber_mod_p", counted)
+    modules.prime_profile.cache_clear()
+    growth_table(cli.parse_spec({"type": "module_matrix", "actions": [JUMP_PRIMES_A]}), 2000)
+    assert sorted(reduced) == primes_up_to(2000) and len(reduced) == 303
 
 
 def test_joint_spectrum_factors_each_min_poly_once(monkeypatch):
@@ -308,6 +339,7 @@ def test_one_action_table_reads_invariant_factors(monkeypatch):
         "split", poly._equal_degree_split, lambda F, g, d, rng: F.p))
     monkeypatch.setattr(modules, "joint_spectrum", counted(
         "spectrum", modules.joint_spectrum, lambda fiber: fiber.p))
+    modules.prime_profile.cache_clear()
     growth_table(WreathCyclic(9), 200)
     assert calls["ddf"] == primes_up_to(200) and len(calls["ddf"]) == 46
     assert calls["factor"] == calls["split"] == calls["spectrum"] == []

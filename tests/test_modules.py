@@ -394,6 +394,7 @@ def test_one_count_tests_its_prime_once():
     A = [[1, 1], [0, 2]]
     m = _ma(2, [A, [[4, 5], [0, 9]]])  # A and A^2 + 2A + I
     is_prime.cache_clear()
+    prime_profile.cache_clear()
     assert count_max_submodules(m, p) == 2
     assert count_max_submodules(m, p * p) == 0
     assert is_prime.cache_info().misses == 1
@@ -641,6 +642,7 @@ def test_cyclic_fiber_skips_the_joint_spectrum(monkeypatch):
     doubled = _ma(6, [_block_diag(CYCLE3, CYCLE3), _block_diag(square, square)])
     expected = [_joint_spectrum_profile(m, p) for m in cyclic + [doubled]]
     calls = _count_calls(monkeypatch, "joint_spectrum", "factor_mod_p")
+    prime_profile.cache_clear()
     assert [prime_profile(m, p) for m in cyclic] == expected[:2]
     assert calls == {"joint_spectrum": 0, "factor_mod_p": 0}
     assert prime_profile(doubled, p) == expected[2]
@@ -648,6 +650,26 @@ def test_cyclic_fiber_skips_the_joint_spectrum(monkeypatch):
     # x^3 - 1 = (x - 1)(x^2 + x + 1) with p = 1 mod 3: three roots
     assert expected[0].entries == (SpectrumEntry(1, 1),) * 3
     assert expected[2].entries == (SpectrumEntry(1, 2),) * 3
+
+
+@pytest.mark.parametrize("path, spectra", [("chain", 0), ("joint spectrum", 1), ("presented", 0)])
+def test_counts_at_powers_of_p_reduce_the_fiber_once(monkeypatch, path, spectra):
+    # the counts at p, p^2, p^3 and the split at p read one cached profile,
+    # equal to one built afresh; (CYCLE3, CYCLE3^2) is cyclic, M (+) M is not
+    p = 7
+    square = _mat_mul(CYCLE3, CYCLE3)
+    m = {
+        "chain": _ma(3, [CYCLE3, square]),
+        "joint spectrum": _ma(6, [_block_diag(CYCLE3, CYCLE3), _block_diag(square, square)]),
+        # Z[x]/(x^2 - 1) (+) Z[x]: free rank 1
+        "presented": Presented(gens=2, relations=(((-1, 0, 1),), ((0,),))),
+    }[path]
+    fresh = prime_profile.__wrapped__(m, p)
+    calls = _count_calls(monkeypatch, "fiber_mod_p", "joint_spectrum")
+    prime_profile.cache_clear()
+    assert [count_max_submodules(m, p ** k) for k in (1, 2, 3)] == [fresh.count(k) for k in (1, 2, 3)]
+    assert split_triv_nontriv(m, p) == fresh.split(1)
+    assert calls == {"fiber_mod_p": 1, "joint_spectrum": spectra}
 
 
 # -- characteristic-zero invariants with two or more actions ---------------------
