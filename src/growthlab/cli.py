@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .arith import prime_power_decompose
+from .arith import primes_up_to
 from .groups import (
     MAX_PRESENTED_GENS,
     MAX_TABLE_N,
@@ -30,9 +30,9 @@ from .groups import (
 from .modules import (
     MatrixAction,
     Presented,
-    count_max_submodules,
     fiber_mod_p,
     growth_type_classify,
+    prime_profile,
 )
 from .poly import count_irreducibles, parse_poly
 
@@ -271,7 +271,7 @@ def cmd_growth_type(args) -> int:
 
 def cmd_check(args) -> int:
     # only `check` runs the oracle, so no other command pays for its import
-    from .oracle import SUBSPACE_STATE_BOUND, OracleBoundError, oracle_count_max_submodules
+    from .oracle import SUBSPACE_STATE_BOUND, oracle_count_max_submodules
 
     desc = load_spec(args.spec)
     if isinstance(desc, WreathCyclic):
@@ -290,23 +290,28 @@ def cmd_check(args) -> int:
     lines = []
     checked = 0
     failed = 0
-    for n in range(2, args.max_n + 1):
-        pp = prime_power_decompose(n)
-        if pp is None:
-            continue
-        fib = fiber_mod_p(module, pp.p)
-        try:
-            want = oracle_count_max_submodules(fib, n)
-        except OracleBoundError:
-            lines.append(f"n={n}: skipped (p^dim > {SUBSPACE_STATE_BOUND})")
-            continue
-        got = count_max_submodules(module, n)
-        checked += 1
-        if got == want:
-            lines.append(f"n={n}: ok (engine={got} oracle={want})")
-        else:
-            failed += 1
-            lines.append(f"n={n}: MISMATCH (engine={got} oracle={want})")
+    # the oracle enumerates F_p^dim, so the fiber is reduced, and the
+    # profile built, only at the primes where p^dim is within its bound
+    for p in primes_up_to(args.max_n):
+        dim = module.k + sum(1 for t in module.torsion if t % p == 0)
+        fits = p ** dim <= SUBSPACE_STATE_BOUND
+        if fits:
+            fib, profile = fiber_mod_p(module, p), prime_profile(module, p)
+        n, k = p, 1
+        while n <= args.max_n:
+            if not fits:
+                lines.append((n, f"n={n}: skipped (p^dim > {SUBSPACE_STATE_BOUND})"))
+            else:
+                want = oracle_count_max_submodules(fib, n)
+                got = profile.count(k)
+                checked += 1
+                if got == want:
+                    lines.append((n, f"n={n}: ok (engine={got} oracle={want})"))
+                else:
+                    failed += 1
+                    lines.append((n, f"n={n}: MISMATCH (engine={got} oracle={want})"))
+            n, k = n * p, k + 1
+    lines = [line for _, line in sorted(lines)]
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     if checked == 0:
         sys.stderr.write("nothing verified: every n was skipped\n")

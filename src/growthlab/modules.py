@@ -522,26 +522,33 @@ def prime_profile(m: ModuleDescriptor, p: int) -> PrimeProfile:
     Analysis, on nonderogatory matrices).  Every other action commutes with
     A, so is a polynomial in A, and the fiber is F_p[x]/(mu) with x acting
     as A: its simple quotients are those of the one-variable chain [mu].
-    Any other fiber goes to joint_spectrum.  t_p needs every action either
-    way: it is the dimension of the fiber modulo the images of every A - I.
+    Any other fiber goes to joint_spectrum.  t_p is the dimension of the
+    fiber modulo the images of every A - I.  When the cyclic A has
+    mu(1) != 0, 1 is no eigenvalue of A, so A - I is invertible, its images
+    alone span the fiber and t_p = 0 with no rank taken; every other fiber
+    takes the rank of the images of every action.
     """
     fib = fiber_mod_p(_one_variable(m), p)
     if isinstance(fib, PresentedFiber):
         return _chain_profile(p, [list(b) for b in fib.invariant_factors], fib.free_rank)
     F = PrimeField(p)
-    images = [
-        [(a[r][c] - (r == c)) % p for r in range(fib.dim)]
-        for a in fib.actions
-        for c in range(fib.dim)
-    ]
     # a 0 x 0 action has min poly 1 of degree 0, yet no simple quotient
     mins = (min_poly_of_matrix(F, a) for a in fib.actions) if fib.dim else ()
     cyclic = next((mu for mu in mins if pdeg(mu) == fib.dim), None)
+    if cyclic is not None and peval(F, cyclic, F.one):
+        trivial_rank = 0
+    else:
+        images = [
+            [(a[r][c] - (r == c)) % p for r in range(fib.dim)]
+            for a in fib.actions
+            for c in range(fib.dim)
+        ]
+        trivial_rank = fib.dim - rank(F, images, fib.dim)
     return PrimeProfile(
         p=p,
         entries=joint_spectrum(fib) if cyclic is None else _chain_profile(p, [cyclic], 0).entries,
         generic_rank=0,
-        trivial_rank=fib.dim - rank(F, images, fib.dim),
+        trivial_rank=trivial_rank,
     )
 
 

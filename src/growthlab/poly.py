@@ -12,7 +12,10 @@ Kernels here and in `linalg` take reduced coefficients and return reduced
 coefficients.  Inside one kernel they add and multiply with Python's
 operators, so over F_p a sum of products stays an unreduced int until it is
 reduced once, as an output entry (delayed reduction, as in FFLAS-FFPACK).
-Q and F_p share every kernel.
+Q and F_p share every kernel except one: arithmetic in F_p[x]/(m) on packed
+ints (`_PackedRing`), which every power modulo a polynomial over F_p takes,
+in ppowmod, in Berlekamp's matrix of distinct_degree_factorization and in the
+trace map of equal-degree splitting at p = 2.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ _SPLIT_SEED = 0xC0FFEE
 # list.  A table takes the squarefree part of each relation over Q once and
 # its distinct-degree factorization over F_p at every prime, at costs that
 # grow about as the cube of the degree: `table --max-n 2` of a random
-# relation of degree d (coefficients in {-1, 0, 1}) took 0.27 s at d = 128,
-# 1.5 s at d = 256 and 17 s at d = 512 (Python 3.11, 2-vCPU x86-64 VM).
+# relation of degree d (coefficients in {-1, 0, 1}) took 0.17 s at d = 128,
+# 0.86 s at d = 256 and 12.3 s at d = 512, most of it the squarefree part
+# over Q (Python 3.11, 2-vCPU x86-64 VM).
 MAX_EXPONENT = 512
 
 
@@ -181,17 +185,73 @@ def pderiv(F, a):
     return pnormalize([F.reduce(i * a[i]) for i in range(1, len(a))])
 
 
+class _PackedRing:
+    """F_p[x]/(m) on packed ints (Kronecker substitution), n = deg m.
+
+    The coefficient of x^i sits in bits [i w, (i + 1) w) of one int, its
+    slot i, so a product of two polynomials is one int multiplication.  An
+    element has at most n slots, each in [0, p).  A product of two of them
+    has 2n - 1 slots, each a sum of at most n products below p^2.  `mul`
+    reduces it on the int, from the top slot k down to slot n: slot k is
+    read and taken mod p to t, and x^k = x^(k-n) x^n becomes t x^(k-n)
+    (x^n - m / lc(m)), whose n coefficients lie in [0, p), added at slot
+    k - n.  Slot j is folded into only from the slots j + 1 .. j + n, each
+    adding less than p^2, so no slot reaches 2n p^2 < 2^w, with
+    w = 2 bitlen(p) + bitlen(2n) + 1, and none carries into the next.
+    The n low slots are then taken mod p in one subtraction of p times
+    their quotients.  Nothing is unpacked between the steps of a power.
+    `unpack` takes each slot mod p, so it reads any sum of fewer than 2n p^2
+    per slot, such as a sum of n elements times coefficients in [0, p).
+    """
+
+    __slots__ = ("p", "n", "w", "tail")
+
+    def __init__(self, p, m):
+        self.p, self.n = p, len(m) - 1
+        self.w = 2 * p.bit_length() + (2 * self.n).bit_length() + 1
+        lc_inv = pow(m[-1], -1, p)
+        self.tail = self.pack([-c * lc_inv % p for c in m[:-1]])
+
+    def pack(self, a):
+        v = 0
+        for c in reversed(a):
+            v = (v << self.w) | c
+        return v
+
+    def unpack(self, v):
+        w, mask = self.w, (1 << self.w) - 1
+        return pnormalize([(v >> (i * w) & mask) % self.p for i in range(self.n)])
+
+    def mul(self, u, v):
+        p, w, nw, tail = self.p, self.w, self.n * self.w, self.tail
+        v *= u
+        top = (v.bit_length() - 1) // w * w
+        for shift in range(top, nw - 1, -w):
+            s = v >> shift
+            v += ((s % p) * tail - (s << nw)) << (shift - nw)
+        mask, q = (1 << w) - 1, 0
+        for shift in range(min(top, nw - w), -1, -w):
+            q = (q << w) | (v >> shift & mask) // p
+        return v - p * q
+
+    def pow(self, u, e):
+        """u**e for e >= 1, left-to-right binary."""
+        out = u
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, u)
+        return out
+
+
 def ppowmod(F, a, e, m):
-    """a**e mod m by binary exponentiation."""
-    out = [F.one]
+    """a**e mod m over F_p, by binary exponentiation in _PackedRing: one
+    int product and one packed reduction per step."""
     a = pmod(F, a, m)
-    while e:
-        if e & 1:
-            out = pmod(F, pmul(F, out, a), m)
-        e >>= 1
-        if e:
-            a = pmod(F, pmul(F, a, a), m)
-    return out
+    if not e:
+        return [F.one]
+    ring = _PackedRing(F.p, m)
+    return ring.unpack(ring.pow(ring.pack(a), e))
 
 
 def gcd_over_field(F, a, b):
@@ -363,6 +423,12 @@ def distinct_degree_factorization(F, f):
     much as Q, and then Q is built modulo what is left of f: never much
     more than either way alone when f splits in a few steps, and far less
     at large p when it takes many.
+
+    Both run in _PackedRing modulo r: a power is one int product per step,
+    each row of Q one product of the row before with x^p, and h Q is the
+    sum of the packed rows times the coefficients of h, unpacked once.  Its
+    slots are sums of at most deg r products below p^2, within the ring's
+    slot bound of 2 deg r p^2.
     """
     out = []
     x = [F.zero, F.one]
@@ -372,12 +438,7 @@ def distinct_degree_factorization(F, f):
     while pdeg(rest) >= 2 * (d + 1):
         d += 1
         if Q:
-            acc = [F.zero] * len(Q)
-            for c, row in zip(h, Q):
-                if c:
-                    for i, y in enumerate(row):
-                        acc[i] += c * y
-            h = pnormalize([F.reduce(a) for a in acc])
+            h = ring.unpack(sum(c * row for c, row in zip(h, Q)))
         else:
             h = ppowmod(F, h, F.p, rest)
             if d == 1:
@@ -387,9 +448,10 @@ def distinct_degree_factorization(F, f):
             out.append((d, g))
             rest = pdivmod(F, rest, g)[0]
         if not Q and d * F.p.bit_length() >= min(F.p, pdeg(rest)):
-            h, xp, Q = pmod(F, h, rest), pmod(F, xp, rest), [[F.one]]
+            ring = _PackedRing(F.p, rest)
+            h, xp, Q = pmod(F, h, rest), ring.pack(pmod(F, xp, rest)), [1]
             while len(Q) < pdeg(rest):
-                Q.append(pmod(F, pmul(F, Q[-1], xp), rest))
+                Q.append(ring.mul(Q[-1], xp))
     if pdeg(rest) >= 1:
         out.append((pdeg(rest), rest))
     return out
@@ -406,12 +468,14 @@ def _equal_degree_split(F, g, d, rng):
         if pdeg(a) < 1:
             continue
         if p == 2:
-            t = [F.zero]
-            b = pmod(F, a, g)
+            # the trace a + a^2 + ... + a^(2^(d-1)), summed packed: its
+            # slots stay below d + 1
+            ring = _PackedRing(p, g)
+            b, t = ring.pack(a), 0
             for _ in range(d):
-                t = padd(F, t, b)
-                b = pmod(F, pmul(F, b, b), g)
-            cand = gcd_over_field(F, t, g)
+                t += b
+                b = ring.mul(b, b)
+            cand = gcd_over_field(F, ring.unpack(t), g)
         else:
             b = ppowmod(F, a, (p ** d - 1) // 2, g)
             cand = gcd_over_field(F, psub(F, b, [F.one]), g)

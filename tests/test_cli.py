@@ -197,6 +197,25 @@ def test_check_builds_one_profile_per_prime(tmp_path, capsys):
     assert modules.prime_profile.cache_info().misses == 10  # the primes <= 30
 
 
+def test_check_reduces_only_the_fibers_the_oracle_enumerates(tmp_path, capsys, monkeypatch):
+    # Z wr Z/3 has a module of dimension 3, and p^3 <= 81 only at p = 2, 3:
+    # those fibers are reduced once each, every other prime power is
+    # skipped unreduced, no n is decomposed, and the lines go by n
+    reduced, decomposed = [], []
+    fiber = cli.fiber_mod_p
+    monkeypatch.setattr(cli, "fiber_mod_p", lambda m, p: reduced.append(p) or fiber(m, p))
+    for module in (cli, modules):
+        monkeypatch.setattr(module, "prime_power_decompose", decomposed.append, raising=False)
+    code, out, err = _run(["check", _spec(tmp_path, WREATH), "--max-n", "1000"], capsys)
+    assert (code, err, reduced, decomposed) == (0, "", [2, 3], [])
+    primes = [p for p in range(2, 1001) if all(p % d for d in range(2, p))]
+    powers = sorted(p ** k for p in primes for k in range(1, 10) if p ** k <= 1000)
+    lines = out.splitlines()
+    assert [int(line[2:line.index(":")]) for line in lines] == powers
+    assert sum(": ok (" in line for line in lines) == 9 + 6  # 2 .. 512 and 3 .. 729
+    assert sum(": skipped (p^dim > 81)" in line for line in lines) == len(powers) - 15
+
+
 def test_table_and_check_refuse_a_huge_max_n(tmp_path, capsys):
     # 10^20 would overflow the sieve's bytearray and 10^11 allocate 100 GB;
     # check would loop to either.  10^20 goes first: it fails before any

@@ -652,6 +652,49 @@ def test_cyclic_fiber_skips_the_joint_spectrum(monkeypatch):
     assert expected[2].entries == (SpectrumEntry(1, 2),) * 3
 
 
+def test_trivial_rank_matches_the_rank_of_the_images():
+    # (A, f(A)) with A a companion matrix, cyclic at every p, of c or of
+    # (x - 1) c, so that mu(1) = 0 mod p at every p in a third of the cases
+    # and at the primes of c(1) in others; and (A, f(A)) for A a seeded
+    # action with torsion, cyclic or not.  t_p is checked against the rank
+    # of the images of every A - I, taken here
+    rng = random.Random(19)
+    kinds = set()
+    for trial in range(45):
+        if trial % 3 == 2:
+            one = _random_action_with_torsion(rng)
+            k, A, torsion = one.k, one.actions[0], one.torsion
+        else:
+            c = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1]
+            if trial % 3 == 0:
+                c = [a - b for a, b in zip([0] + c, c + [0])]  # (x - 1) c
+            k, A, torsion = len(c) - 1, _companion(c), ()
+        f = [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]
+        m = _ma(k, [A, _polynomial_in(A, f)], torsion=torsion)
+        for p in (2, 3, 5, 7, 1_000_003, 2 ** 61 - 1):
+            want = _joint_spectrum_profile(m, p).trivial_rank
+            assert prime_profile(m, p).trivial_rank == want, (m, p)
+            kinds.add(want > 0)
+    assert kinds == {False, True}
+
+
+@pytest.mark.parametrize("actions, p, ranks", [
+    # mu = x^2 + x + 1 has mu(1) = 3: no rank at p = 7, and at p = 3, where
+    # mu = (x - 1)^2, the rank runs; x^3 - 1 vanishes at 1 at every p
+    ([C, C_SQUARED], 7, 0),
+    ([C, C_SQUARED], 3, 1),
+    ([CYCLE3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]], 7, 1),
+])
+def test_cyclic_action_without_eigenvalue_1_takes_no_rank(monkeypatch, actions, p, ranks):
+    m = _ma(len(actions[0]), actions)
+    expected = _joint_spectrum_profile(m, p)
+    calls = _count_calls(monkeypatch, "rank", "joint_spectrum")
+    prime_profile.cache_clear()
+    assert prime_profile(m, p) == expected
+    assert calls == {"rank": ranks, "joint_spectrum": 0}
+    assert (expected.trivial_rank == 0) == (ranks == 0)
+
+
 @pytest.mark.parametrize("path, spectra", [("chain", 0), ("joint spectrum", 1), ("presented", 0)])
 def test_counts_at_powers_of_p_reduce_the_fiber_once(monkeypatch, path, spectra):
     # the counts at p, p^2, p^3 and the split at p read one cached profile,

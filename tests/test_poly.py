@@ -177,13 +177,24 @@ def test_distinct_degree_blocks_tally_the_factor_degrees(p):
         assert product == f
 
 
+def _powmod_by_squaring(F, a, e, m):
+    """a^e mod m by right-to-left square-and-multiply on pmul and pmod."""
+    out, a = [F.one], pmod(F, a, m)
+    while e:
+        if e & 1:
+            out = pmod(F, pmul(F, out, a), m)
+        e >>= 1
+        a = pmod(F, pmul(F, a, a), m)
+    return out
+
+
 def _ddf_by_powers(F, f):
     """Distinct-degree factorization that takes h = x^(p^d) by a fresh
-    ppowmod modulo what is left of f at every step."""
+    square-and-multiply modulo what is left of f at every step."""
     out, x, h, d, rest = [], [F.zero, F.one], [F.zero, F.one], 0, f
     while pdeg(rest) >= 2 * (d + 1):
         d += 1
-        h = ppowmod(F, h, F.p, rest)
+        h = _powmod_by_squaring(F, h, F.p, rest)
         g = gcd_over_field(F, psub(F, h, x), rest)
         if pdeg(g) >= 1:
             out.append((d, g))
@@ -266,6 +277,50 @@ def test_monic_normalization():
 
 
 # -- the kernels against references that reduce after every operation ------------
+
+@pytest.mark.parametrize("p", [2, 3, 41, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_ppowmod_matches_square_and_multiply(p):
+    # ppowmod multiplies packed ints; the reference is the list kernels.
+    # Moduli of degree 1..40 and 128, monic and not, a of degree up to
+    # twice deg m (so reduced first) or 0, and every coefficient p - 1 in
+    # both, the largest the slots of a packed product can hold
+    F = PrimeField(p)
+    rng = random.Random(f"ppowmod {p}")
+    for n in [*range(1, 41), 128]:
+        m = [rng.randrange(p) for _ in range(n)] + [1 if n % 2 else rng.randrange(1, p)]
+        a = pnormalize([rng.randrange(p) for _ in range(rng.randint(0, 2 * n + 1))])
+        cases = [(m, a), (m, []), ([p - 1] * (n + 1), [p - 1] * n)]
+        d = 1 + n % 3
+        exponents = [0, 1, p, p * p, (p ** d - 1) // 2, rng.getrandbits(80)]
+        if n > 12 and p > 41:
+            # the reference takes a schoolbook product per bit
+            exponents = [0, 1, p]
+        for modulus, base in cases:
+            for e in exponents:
+                want = _powmod_by_squaring(F, base, e, modulus)
+                assert ppowmod(F, base, e, modulus) == want, (p, modulus, base, e)
+
+
+def test_trace_split_at_2_remultiplies():
+    # at p = 2 equal-degree splitting takes the trace a + a^2 + ... ; products
+    # of small random factors, made squarefree, have several irreducibles of
+    # each small degree, so the trace split runs on most of them
+    F = PrimeField(2)
+    rng = random.Random(2)
+    splits = 0
+    for _ in range(60):
+        f, degree = [1], rng.randint(4, 40)
+        while pdeg(f) < degree:
+            f = pmul(F, f, [rng.randrange(2) for _ in range(rng.randint(1, 5))] + [1])
+        f = squarefree_part(F, f)
+        fac = factor_mod_p(f, 2)
+        assert fac.remultiply() == f
+        for g, mult in fac.factors:
+            assert mult == 1 and distinct_degree_factorization(F, list(g)) == [(len(g) - 1, list(g))]
+        blocks = distinct_degree_factorization(F, f)
+        splits += sum(pdeg(g) > d for d, g in blocks)
+    assert splits >= 30
+
 
 KERNEL_FIELDS = [PrimeField(p) for p in (2, 3, 7, 2 ** 31 - 1, 2 ** 61 - 1)] + [QQ]
 
