@@ -197,10 +197,7 @@ def load_spec(path):
 
 
 def cmd_table(args) -> int:
-    desc = load_spec(args.spec)
-    if args.max_n < 2:
-        raise SpecError(f"--max-n must be >= 2, got {args.max_n}")
-    report = growth_table(desc, args.max_n)
+    report = growth_table(load_spec(args.spec), args.max_n)
     if args.format == "csv":
         # every count is certified, so `exact` is constant here and in JSON
         lines = ["n,p,k,count,mtriv,mnontriv,exact"]
@@ -274,8 +271,6 @@ def cmd_check(args) -> int:
     from .oracle import SUBSPACE_STATE_BOUND, oracle_count_max_submodules
 
     desc = load_spec(args.spec)
-    if isinstance(desc, WreathCyclic):
-        desc = desc.expand()
     if isinstance(desc, SemidirectFgAbelian):
         module = desc.module
     elif isinstance(desc, MatrixAction):
@@ -285,6 +280,8 @@ def cmd_check(args) -> int:
             "check needs a descriptor with an explicit matrix module\n"
         )
         return 3
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
     if args.max_n > MAX_TABLE_N:
         raise ValueError(f"--max-n must be <= {MAX_TABLE_N}, got {args.max_n}")
     lines = []

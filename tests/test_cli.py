@@ -216,16 +216,20 @@ def test_check_reduces_only_the_fibers_the_oracle_enumerates(tmp_path, capsys, m
     assert sum(": skipped (p^dim > 81)" in line for line in lines) == len(powers) - 15
 
 
-def test_table_and_check_refuse_a_huge_max_n(tmp_path, capsys):
+def test_table_and_check_refuse_a_max_n_out_of_range(tmp_path, capsys):
     # 10^20 would overflow the sieve's bytearray and 10^11 allocate 100 GB;
     # check would loop to either.  10^20 goes first: it fails before any
-    # allocation where the bound is missing
+    # allocation where the bound is missing.  Below 2 there is no n: the
+    # spec is valid, so both exit 3, as above the bound
     spec = _spec(tmp_path, WREATH)
     for n in (10 ** 20, 10 ** 11, groups.MAX_TABLE_N + 1):
         assert _run(["table", spec, "--max-n", str(n)], capsys) == (
             3, "", f"error: n_max must be <= {groups.MAX_TABLE_N}, got {n}\n")
         assert _run(["check", spec, "--max-n", str(n)], capsys) == (
             3, "", f"error: --max-n must be <= {groups.MAX_TABLE_N}, got {n}\n")
+    for n in (1, 0, -5):
+        assert _run(["table", spec, "--max-n", str(n)], capsys) == (3, "", f"error: n_max must be >= 2, got {n}\n")
+        assert _run(["check", spec, "--max-n", str(n)], capsys) == (3, "", f"error: --max-n must be >= 2, got {n}\n")
 
 
 def test_check_exit4_when_nothing_checked(tmp_path, capsys):

@@ -314,7 +314,7 @@ def test_joint_spectrum_factors_each_min_poly_once(monkeypatch):
 
     monkeypatch.setattr(modules, "factor_mod_p", counted)
     modules.joint_spectrum.cache_clear()
-    module = WreathCyclic(9).expand().module
+    module = WreathCyclic(9).module
     for p in primes_up_to(200):
         modules.joint_spectrum(modules.fiber_mod_p(module, p))
     assert len(factored) == 269
@@ -498,3 +498,44 @@ def test_zk_by_z_is_semidirect_of_acting_rank_one(spec, tmp_path, capsys):
         assert cli.main(["table", str(path), "--max-n", "200"]) == 0
         tables.append(capsys.readouterr().out)
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("m", [2, 3, 9, 32])
+def test_wreath_is_semidirect_of_a_cyclic_group(m, tmp_path, capsys):
+    # Z wr Z/m is N x| A with N = Z^m under the m-cycle and A = Z/m: the
+    # same fields, counts, mdeg and table bytes as that group built by hand
+    cycle = _cycle(m)
+    wreath, semi = WreathCyclic(m), SemidirectFgAbelian(_ma(m, [cycle]), 0, (m,))
+    assert isinstance(wreath, SemidirectFgAbelian) and wreath.m == m
+    assert wreath._asdict() == semi._asdict()
+    p = 2 ** 31 - 1
+    for n in [*range(2, 201), p, p * p]:
+        assert max_subgroups(wreath, n) == max_subgroups(semi, n), n
+    assert mdeg(wreath) == mdeg(semi)
+    tables = []
+    for doc in ({"type": "wreath_cyclic", "m": m}, {"type": "semidirect", "actions": [cycle], "acting_rank": 0, "acting_torsion": [m]}):
+        path = tmp_path / f"{doc['type']}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["table", str(path), "--max-n", "200"]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+
+
+def test_no_reader_expands_a_wreath(monkeypatch, tmp_path, capsys):
+    # a WreathCyclic is read as the SemidirectFgAbelian it is
+    expanded = []
+
+    def refuse(self):
+        expanded.append(self.m)
+        raise RuntimeError("WreathCyclic.expand called")
+
+    monkeypatch.setattr(WreathCyclic, "expand", refuse)
+    g = WreathCyclic(9)
+    assert len(growth_table(g, 50).rows) == 23
+    assert max_subgroups(g, 19) == 1 + 19 * 8  # x^9 - 1 splits mod 19
+    assert mdeg(g).value == 1
+    path = tmp_path / "wreath.json"
+    path.write_text(json.dumps({"type": "wreath_cyclic", "m": 9}))
+    assert cli.main(["check", str(path), "--max-n", "20"]) == 4
+    assert capsys.readouterr().err == "nothing verified: every n was skipped\n"
+    assert expanded == []

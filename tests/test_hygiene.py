@@ -1,7 +1,8 @@
 """Static checks on the growthlab sources: no unused top-level import, no
 private top-level function that nothing in the package calls, every
-function the benchmark hooks into still exists, and the CLI imports no
-module it does not need at start-up."""
+function the benchmark hooks into still exists, no reader expands a
+group descriptor, and the CLI imports no module it does not need at
+start-up."""
 
 import ast
 import functools
@@ -78,6 +79,18 @@ def test_benchmark_hooks_resolve():
         except (ImportError, AttributeError):
             missing.append(path)
     assert not missing, f"benchmark hooks missing from growthlab: {missing}"
+
+
+def test_no_function_calls_expand():
+    # WreathCyclic is a SemidirectFgAbelian and every reader takes it as
+    # given; its expand() is only a benchmark hook
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "expand"
+    ]
+    assert not calls, f"calls to .expand() in growthlab: {calls}"
 
 
 def test_both_fields_offer_one_protocol():
