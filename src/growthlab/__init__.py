@@ -20,7 +20,6 @@ from .groups import (
     mdeg,
 )
 from .modules import (
-    FiberModule,
     GrowthType,
     MatrixAction,
     ModuleInvariants,
@@ -39,7 +38,6 @@ from .poly import FactorizationModP, count_irreducibles, factor_mod_p
 
 __all__ = [
     "FactorizationModP",
-    "FiberModule",
     "GrowthReport",
     "GrowthRow",
     "GrowthType",

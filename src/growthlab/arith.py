@@ -75,9 +75,11 @@ def prime_power_decompose(n: int) -> PrimePowerIndex | None:
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
     # n = p**k with k > 1 is an r**q with q a prime factor of k, q <= log2 n,
-    # and r = p**(k/q): take that root and go on from r
+    # and r = p**(k/q): take that root and go on from r.  The cached
+    # primality test comes first, so a prime takes no root; past its range
+    # only the roots can tell
     p, k = n, 1
-    while True:
+    while p >= _MR_LIMIT or not is_prime(p):
         for q in primes_up_to(p.bit_length()):
             r = _integer_kth_root(p, q)
             if r ** q == p:
@@ -85,6 +87,7 @@ def prime_power_decompose(n: int) -> PrimePowerIndex | None:
                 break
         else:
             return PrimePowerIndex(n, p, k) if is_prime(p) else None
+    return PrimePowerIndex(n, p, k)
 
 
 def _integer_kth_root(n: int, k: int) -> int:

@@ -18,7 +18,7 @@ import functools
 
 from ._record import Record
 from .arith import prime_power_decompose, primes_up_to
-from .linalg import mat_mul, min_poly_of_matrix, smith_normal_form_int
+from .linalg import min_poly_of_matrix, smith_normal_form_int
 from .modules import (
     MatrixAction,
     GrowthType,
@@ -79,12 +79,12 @@ class SemidirectFgAbelian(Record):
             )
         if not self.module.group_action:
             raise ValueError("semidirect actions must be group actions")
-        k, tors = self.module.k, self.module.torsion
-        identity = [[int(r == c) for c in range(k + len(tors))] for r in range(k + len(tors))]
+        k, dim = self.module.k, self.module.k + len(self.module.torsion)
+        identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
         for i, order in enumerate(self.acting_torsion):
             a = self.module.actions[self.acting_rank + i]
             # a free block of infinite order is refused before any power is taken
-            if not _has_finite_order([row[:k] for row in a[:k]]) or _endo_pow(a, order, k, tors) != identity:
+            if not _has_finite_order([row[:k] for row in a[:k]]) or _endo_pow(self.module, a, order) != identity:
                 raise ValueError(
                     f"acting torsion generator {i} has order {order} but its "
                     "action matrix does not"
@@ -123,16 +123,15 @@ def _has_finite_order(block) -> bool:
     return pdeg(rest) == 0
 
 
-def _endo_pow(a, e, k, torsion):
-    """a**e as an endomorphism of Z^k (+) (+)_j Z/t_j, by binary
-    exponentiation with each torsion row reduced mod its t_j.  When the free
-    block has finite order, no entry grows."""
+def _endo_pow(m, a, e):
+    """a**e as an endomorphism of m's Z^k (+) (+)_j Z/t_j, by binary
+    exponentiation with m.compose.  When the free block has finite order,
+    no entry grows."""
     out = [[int(r == c) for c in range(len(a))] for r in range(len(a))]
     for bit in bin(e)[2:]:
-        out = mat_mul(QQ, out, out)
+        out = m.compose(out, out)
         if bit == "1":
-            out = mat_mul(QQ, out, a)
-        out = [row if r < k else [c % torsion[r - k] for c in row] for r, row in enumerate(out)]
+            out = m.compose(out, a)
     return out
 
 

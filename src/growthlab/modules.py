@@ -65,7 +65,9 @@ def _as_matrix_tuple(m):
 
 
 class MatrixAction(Record):
-    """Z^k (+) (+)_j Z/t_j with l commuting integer matrices acting on it.
+    """Z^k (+) (+)_j Z/t_j with l integer matrices acting on it as
+    commuting endomorphisms: two actions commute modulo the torsion
+    relations (compose), not necessarily as integer matrices.
 
     Matrix columns are the images of the generators: the first k columns are
     the free generators, the rest the torsion generators in order.  With
@@ -102,7 +104,7 @@ class MatrixAction(Record):
         for i in range(len(self.actions)):
             for j in range(i + 1, len(self.actions)):
                 A, B = self.actions[i], self.actions[j]
-                if dim and mat_mul(QQ, A, B) != mat_mul(QQ, B, A):
+                if self.compose(A, B) != self.compose(B, A):
                     raise ValueError(
                         f"actions[{i}] and actions[{j}] do not commute"
                     )
@@ -111,6 +113,19 @@ class MatrixAction(Record):
         if self.group_action:
             for idx, a in enumerate(self.actions):
                 self._check_automorphism(a, idx)
+
+    def compose(self, a, b):
+        """The endomorphism a b of Z^k (+) (+)_j Z/t_j as a matrix: the
+        integer product with torsion row k + j taken mod t_j, and free rows
+        exact.  _check_endomorphism makes every torsion-to-free entry 0, so
+        equal endomorphisms give equal matrices.  The actions commute iff
+        compose(A, B) == compose(B, A); their free k x k blocks, which
+        module_invariants reads, then commute exactly."""
+        k = self.k
+        return [
+            row if r < k else [c % self.torsion[r - k] for c in row]
+            for r, row in enumerate(mat_mul(QQ, a, b))
+        ]
 
     def _check_endomorphism(self, a, idx):
         # torsion generator e_{k+j} has order t_j; its image must too
@@ -175,23 +190,17 @@ ModuleDescriptor = MatrixAction | Presented
 
 
 class FiberModule(Record):
-    """The F_p-module N/pN with its induced commuting actions."""
+    """The F_p-module N/pN with its induced commuting actions, as built by
+    fiber_mod_p from a MatrixAction, which checked that they commute."""
 
     p: int
     dim: int
     actions: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        F = PrimeField(self.p)
         for a in self.actions:
             if len(a) != self.dim or any(len(r) != self.dim for r in a):
                 raise ValueError("fiber action has wrong dimensions")
-        for i in range(len(self.actions)):
-            for j in range(i + 1, len(self.actions)):
-                A = [list(r) for r in self.actions[i]]
-                B = [list(r) for r in self.actions[j]]
-                if mat_mul(F, A, B) != mat_mul(F, B, A):
-                    raise ValueError("fiber actions do not commute")
 
 
 class PresentedFiber(Record):
@@ -269,6 +278,20 @@ def _one_variable(m):
 
 
 def fiber_mod_p(m: ModuleDescriptor, p: int):
+    """N/pN: a PresentedFiber for a Presented m.  A MatrixAction keeps its
+    free generators and the torsion generators k + j with p | t_j, with its
+    actions reduced mod p on them; this is the only constructor of a
+    FiberModule.
+
+    The reduced actions commute mod p, as MatrixAction checked that the
+    actions commute modulo torsion.  A kept row r has A[r][s] = 0 mod p for
+    every dropped column s = k + j, p not dividing t_j: a free r has
+    A[r][s] = 0, and a torsion r = k + i has p | t_i, which divides
+    t_j A[r][s] as A is an endomorphism, so p | A[r][s].  So the dropped
+    columns add nothing mod p, and the reduced AB - BA is AB - BA mod p on
+    the kept rows and columns: 0 in a free row, and 0 mod t_i, so mod p, in
+    a kept torsion row k + i.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(m, Presented):
@@ -423,7 +446,8 @@ def _spectrum_of_component(F, mats, dim, out):
 
 @functools.lru_cache(maxsize=None)
 def joint_spectrum(fiber: FiberModule) -> tuple[SpectrumEntry, ...]:
-    """Maximal ideals of the algebra generated by the fiber actions.
+    """Maximal ideals of the algebra generated by the actions of
+    fiber = fiber_mod_p(m, p), m a MatrixAction.
 
     Each entry (e, s) contributes (q^s - 1)/(q - 1) maximal submodules of
     index q = p^e.  prime_profile calls it only for two or more actions

@@ -70,7 +70,8 @@ def _span(p: int, basis, dim: int) -> frozenset:
 
 
 def oracle_count_max_submodules(fiber: FiberModule, n: int) -> int:
-    """Count maximal invariant subspaces of index n by full enumeration."""
+    """Count maximal invariant subspaces of index n of fiber =
+    fiber_mod_p(m, p), m a MatrixAction, by full enumeration."""
     p, dim = fiber.p, fiber.dim
     if p ** dim > SUBSPACE_STATE_BOUND:
         raise OracleBoundError(

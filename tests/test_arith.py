@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from growthlab import arith
 from growthlab.arith import (
     PrimePowerIndex,
     _integer_kth_root,
@@ -30,6 +31,19 @@ def test_prime_power_decompose_examples():
     assert prime_power_decompose(6) is None
     assert prime_power_decompose(12) is None
     assert prime_power_decompose(100) is None
+
+
+def test_a_prime_index_takes_no_root(monkeypatch):
+    # the cached primality test runs first; the square of a 61-bit prime is
+    # past its range, so a root finds it
+    roots = []
+    kth_root = arith._integer_kth_root
+    monkeypatch.setattr(arith, "_integer_kth_root", lambda n, k: roots.append(k) or kth_root(n, k))
+    p = 2 ** 61 - 1
+    assert prime_power_decompose(p) == PrimePowerIndex(p, p, 1)
+    assert roots == []
+    assert prime_power_decompose(p ** 2) == PrimePowerIndex(p ** 2, p, 2)
+    assert roots == [2]
 
 
 def test_huge_indices():

@@ -510,6 +510,9 @@ def test_growth_type_factors_no_single_point_value(tmp_path, capsys, relation, c
     assert json.loads(out)["growth_type"] == "bounded"
 
 
+# commuting neither over Z nor modulo any torsion
+UNIPOTENT_PAIR = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+
 # N = 10000000000037 * 10000000000051 is past the deterministic primality
 # range; no certificate factors it
 BIG_SEMIPRIME = 100000000000880000000001887
@@ -568,11 +571,41 @@ def test_group_action_refusal_names_the_action(tmp_path, capsys):
     [
         ({"type": "module_presented", "gens": 1, "relations": [[5]]}, "relations[0] must contain only polynomial strings"),
         ({"type": "module_matrix", "actions": [[[1]]], "group_action": "false"}, "field 'group_action' must be true or false"),
+        ({"type": "module_matrix", "actions": UNIPOTENT_PAIR}, "actions[0] and actions[1] do not commute"),
+        ({"type": "semidirect", "actions": UNIPOTENT_PAIR, "acting_rank": 2}, "actions[0] and actions[1] do not commute"),
+        # on (Z/3)^2 these differ even mod 3
+        (
+            {"type": "module_matrix", "torsion": [3, 3], "actions": [[[0, 1], [1, 0]], [[1, 1], [0, 1]]]},
+            "actions[0] and actions[1] do not commute",
+        ),
     ],
 )
 def test_malformed_fields_exit2(tmp_path, capsys, doc, message):
     code, out, err = _run(["table", _spec(tmp_path, doc), "--max-n", "5"], capsys)
     assert (code, out, err) == (2, "", f"spec error: {message}\n")
+
+
+# the second action is the identity on (Z/2)^2: the actions commute as
+# endomorphisms, though not as integer matrices
+SWAP_AND_IDENTITY_MOD_2 = {"torsion": [2, 2], "actions": [[[0, 1], [1, 0]], [[1, 2], [0, 1]]]}
+
+
+@pytest.mark.parametrize(
+    "doc, commands",
+    [
+        ({"type": "module_matrix", **SWAP_AND_IDENTITY_MOD_2}, (["table", "--max-n", "100"],)),
+        (
+            {"type": "semidirect", "acting_rank": 2, **SWAP_AND_IDENTITY_MOD_2},
+            (["table", "--max-n", "100"], ["table", "--max-n", "100", "--format", "json"], ["mdeg"]),
+        ),
+    ],
+)
+def test_actions_commuting_modulo_torsion_match_their_twin(tmp_path, capsys, doc, commands):
+    twin = dict(doc, actions=[doc["actions"][0], [[1, 0], [0, 1]]])
+    for command, *options in commands:
+        got = _run([command, _spec(tmp_path, doc), *options], capsys)
+        want = _run([command, _spec(tmp_path, twin, "twin.json"), *options], capsys)
+        assert got == want and want[0] == 0 and want[1], command
 
 
 _SMALL_INTS = st.integers(-3, 6)
@@ -703,7 +736,10 @@ def _squared(M):
 def _valid_commuting_semidirect(draw):
     """An accepted semidirect spec with two commuting actions: (A, A^2),
     (A, I) or (A, -I) for a zk_by_z matrix A, or (P, P^2) for a cyclic
-    permutation P of order m on at most three coordinates."""
+    permutation P of order m on at most three coordinates.  A second action
+    built from A may have multiples of t_j added to its torsion row k + j:
+    the same endomorphism, which need not commute with A as an integer
+    matrix."""
     if draw(st.booleans()):
         doc = draw(_valid_zk_by_z())
         A, torsion = doc["matrix"], doc["torsion"]
@@ -713,6 +749,10 @@ def _valid_commuting_semidirect(draw):
             B = _squared(A)
         else:
             B = [[(1 if kind == "identity" else -1) * (r == c) for c in range(dim)] for r in range(dim)]
+        k = dim - len(torsion)
+        for j, t in enumerate(torsion):
+            shift = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+            B[k + j] = [b + t * s for b, s in zip(B[k + j], shift)]
         shape = {"acting_rank": 1, "acting_torsion": [2]} if kind == "negation" else {"acting_rank": 2}
         return {"type": "semidirect", "actions": [A, B], "torsion": torsion, **shape}
     k = draw(st.integers(2, 3))

@@ -1,8 +1,8 @@
 """Static checks on the growthlab sources: no unused top-level import, no
 private top-level function that nothing in the package calls, every
 function the benchmark hooks into still exists, no reader expands a
-group descriptor, and the CLI imports no module it does not need at
-start-up."""
+group descriptor, only fiber_mod_p builds a FiberModule, and the CLI
+imports no module it does not need at start-up."""
 
 import ast
 import functools
@@ -91,6 +91,25 @@ def test_no_function_calls_expand():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "expand"
     ]
     assert not calls, f"calls to .expand() in growthlab: {calls}"
+
+
+def test_only_fiber_mod_p_builds_a_fiber_module():
+    # FiberModule does not check that its actions commute: MatrixAction
+    # checked that, and fiber_mod_p reduces one
+    def calls(root):
+        return [
+            node for node in ast.walk(root)
+            if isinstance(node, ast.Call) and "FiberModule" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+
+    allowed = {
+        id(node)
+        for fn in TREES["modules.py"].body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "fiber_mod_p"
+        for node in calls(fn)
+    }
+    elsewhere = [f"{name}:{node.lineno}" for name, tree in TREES.items() for node in calls(tree) if id(node) not in allowed]
+    assert len(allowed) == 1 and not elsewhere, f"FiberModule built outside fiber_mod_p: {elsewhere}"
 
 
 def test_both_fields_offer_one_protocol():

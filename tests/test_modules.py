@@ -25,7 +25,7 @@ from growthlab.modules import (
     prime_profile,
     split_triv_nontriv,
 )
-from growthlab.groups import SemidirectFgAbelian, mdeg
+from growthlab.groups import SemidirectFgAbelian, growth_table, mdeg
 from growthlab.oracle import oracle_count_max_submodules
 from growthlab.poly import QQ, PrimeField, factor_mod_p, parse_poly, pmonic, pmul
 
@@ -37,6 +37,12 @@ def _ma(k, actions, torsion=(), group_action=False):
 
 
 CYCLE3 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+
+
+def _fiber(p, dim, actions):
+    """The F_p-module F_p^dim under `actions`, as the fiber at p of
+    (Z/p)^dim."""
+    return fiber_mod_p(_ma(0, actions, torsion=(p,) * dim), p)
 
 
 def test_matrix_action_validation():
@@ -209,7 +215,7 @@ def test_presented_counts_against_oracle_fiber():
         fib = fiber_mod_p(m, p)
         # build matrix fiber: companion action on F_p[x]/(x^2-1)
         comp = [[0, 1], [1, 0]]
-        mf = FiberModule(p=p, dim=2, actions=(tuple(tuple(r) for r in comp),))
+        mf = _fiber(p, 2, (comp,))
         assert count_max_submodules(m, p) == oracle_count_max_submodules(mf, p)
 
 
@@ -230,7 +236,7 @@ def test_engine_vs_oracle_random():
             c0, c1 = rng.randrange(p), rng.randrange(p)
             B = [[(c0 * (1 if i == j else 0) + c1 * A[i][j]) % p for j in range(dim)] for i in range(dim)]
             acts.append(B)
-        fib = FiberModule(p=p, dim=dim, actions=tuple(tuple(tuple(r) for r in a) for a in acts))
+        fib = _fiber(p, dim, acts)
         for k in range(1, dim + 1):
             n = p ** k
             spec = joint_spectrum(fib)
@@ -615,6 +621,27 @@ def test_cyclic_fiber_profile_matches_joint_spectrum():
         m = _ma(one.k, [A, _polynomial_in(A, f)], torsion=one.torsion)
         for p in (2, 3, 5, 7, 1_000_003, 2 ** 31 - 1, 2 ** 61 - 1):
             assert prime_profile(m, p) == _joint_spectrum_profile(m, p), (m, p)
+
+
+def test_actions_commuting_modulo_torsion_count_as_their_twin():
+    # B = B0 + D, B0 a polynomial in A and D a multiple of t_j in torsion
+    # row k + j, 0 in the free rows: the endomorphism B0, though most such B
+    # do not commute with A as integer matrices
+    rng = random.Random(21)
+    corpus = inexact = 0
+    while corpus < 60:
+        one = _random_action_with_torsion(rng)
+        A, k, torsion = one.actions[0], one.k, one.torsion
+        if not torsion:
+            continue
+        corpus += 1
+        B0 = _polynomial_in(A, [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
+        B = [row if r < k else [b + torsion[r - k] * rng.randint(-2, 2) for b in row] for r, row in enumerate(B0)]
+        m0, m = _ma(k, [A, B0], torsion=torsion), _ma(k, [A, B], torsion=torsion)
+        inexact += _mat_mul(A, B) != _mat_mul(B, A)
+        assert growth_table(m, 100).rows == growth_table(m0, 100).rows, m
+        assert module_invariants(m) == module_invariants(m0), m
+    assert inexact >= 50
 
 
 def _count_calls(monkeypatch, *names):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from growthlab.modules import FiberModule, count_max_submodules, MatrixAction
+from growthlab.modules import MatrixAction, count_max_submodules, fiber_mod_p
 from growthlab.groups import SemidirectFgAbelian, max_subgroups
 from growthlab.oracle import (
     OracleBoundError,
@@ -34,20 +34,26 @@ def test_enumerate_subspaces_counts():
             assert len(spans) == len(subs)
 
 
+def _fiber(p, dim, actions):
+    """The F_p-module F_p^dim under `actions`, as the fiber at p of
+    (Z/p)^dim."""
+    return fiber_mod_p(MatrixAction(k=0, torsion=(p,) * dim, actions=actions), p)
+
+
 def test_oracle_count_examples():
     # trivial action on F_2^2: three maximal submodules of index 2
     I2 = ((1, 0), (0, 1))
-    f = FiberModule(p=2, dim=2, actions=(I2,))
+    f = _fiber(2, 2, (I2,))
     assert oracle_count_max_submodules(f, 2) == 3
     assert oracle_count_max_submodules(f, 4) == 0
     # 2-cycle swap on F_3^2: x+y and x-y lines are invariant
     swap = ((0, 1), (1, 0))
-    f3 = FiberModule(p=3, dim=2, actions=(swap,))
+    f3 = _fiber(3, 2, (swap,))
     assert oracle_count_max_submodules(f3, 3) == 2
 
 
 def test_oracle_bound_refusal():
-    f = FiberModule(p=5, dim=4, actions=((
+    f = _fiber(5, 4, ((
         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
     ),))
     with pytest.raises(OracleBoundError):
@@ -60,10 +66,10 @@ def test_oracle_vs_engine_random():
         p = rng.choice([2, 3])
         dim = rng.randint(1, 4 if p == 2 else 3)
         A = tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(dim))
-        f = FiberModule(p=p, dim=dim, actions=(A,))
         m = MatrixAction(
             k=dim, torsion=(), actions=(A,), group_action=False
         )
+        f = fiber_mod_p(m, p)
         for k in range(1, dim + 1):
             assert count_max_submodules(m, p ** k) == oracle_count_max_submodules(
                 f, p ** k
