@@ -87,23 +87,20 @@ def _int_array(value, field):
     return tuple(value)
 
 
-def _matrix_action(doc, typename, group_action):
+def _actions(doc, typename):
     actions = _require(doc, "actions", list, typename)
-    actions = tuple(_int_matrix(a, f"actions[{i}]") for i, a in enumerate(actions))
+    return tuple(_int_matrix(a, f"actions[{i}]") for i, a in enumerate(actions))
+
+
+def _matrix_action(actions, doc, group_action):
+    """The module of parsed action matrices and the spec's 'torsion'."""
     torsion = _int_array(doc.get("torsion", []), "torsion")
-    if actions and actions[0]:
-        size = len(actions[0])
-    else:
-        size = 0
-    k = size - len(torsion)
-    if k < 0:
+    size = len(actions[0]) if actions else 0
+    if size < len(torsion):
         raise SpecError("field 'torsion' is longer than the action matrix size")
-    try:
-        return MatrixAction(
-            k=k, torsion=torsion, actions=actions, group_action=group_action
-        )
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    return MatrixAction(
+        k=size - len(torsion), torsion=torsion, actions=actions, group_action=group_action
+    )
 
 
 def parse_spec(doc) -> GroupDescriptor | MatrixAction | Presented:
@@ -117,15 +114,9 @@ def parse_spec(doc) -> GroupDescriptor | MatrixAction | Presented:
     try:
         if typename == "zk_by_z":
             matrix = _int_matrix(_require(doc, "matrix", list, typename), "matrix")
-            torsion = _int_array(doc.get("torsion", []), "torsion")
-            k = len(matrix) - len(torsion)
-            return ZkByZ(
-                MatrixAction(
-                    k=k, torsion=torsion, actions=(matrix,), group_action=True
-                )
-            )
+            return ZkByZ(_matrix_action((matrix,), doc, group_action=True))
         if typename == "semidirect":
-            module = _matrix_action(doc, typename, group_action=True)
+            module = _matrix_action(_actions(doc, typename), doc, group_action=True)
             return SemidirectFgAbelian(
                 module=module,
                 acting_rank=_require(doc, "acting_rank", int, typename),
@@ -153,7 +144,7 @@ def parse_spec(doc) -> GroupDescriptor | MatrixAction | Presented:
             group_action = doc.get("group_action", False)
             if not isinstance(group_action, bool):
                 raise SpecError("field 'group_action' must be true or false")
-            return _matrix_action(doc, typename, group_action)
+            return _matrix_action(_actions(doc, typename), doc, group_action)
         # module_presented
         gens = _require(doc, "gens", int, typename)
         if gens > MAX_PRESENTED_GENS:

@@ -1,5 +1,6 @@
-"""Exact linear algebra: Gaussian elimination over fields, Smith normal
-form over Z and over F[x] (F = Q or F_p), minimal polynomials.
+"""Exact linear algebra: Gaussian elimination over fields, minimal
+polynomials, and Smith normal forms over Z, F_p[x] and Q[x], all three
+from one elimination, `_smith`, given each ring's operations.
 
 Matrices are lists of rows.  Vectors are column vectors: A maps x to A@x,
 so `kernel_basis` solves A x = 0.
@@ -10,7 +11,9 @@ there are no rows to infer it from.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import partial
 
 from ._record import Record
 from .poly import (
@@ -18,7 +21,6 @@ from .poly import (
     gcd_over_field,
     pdeg,
     pdivmod,
-    pmod,
     pmonic,
     pmul,
     pnormalize,
@@ -202,59 +204,75 @@ class SmithResult(Record):
     rank: int
 
 
-def smith_normal_form_int(rows, ncols=None) -> SmithResult:
-    """Integer SNF by row/column reduction with least-absolute-value pivoting."""
-    m, n = _shape(rows, ncols)
-    A = [[int(x) for x in r] for r in rows]
+def _smith(A, ncols, size, divmod_, sub, mul, normal, gcd):
+    """Nonzero invariant factors of A (rows, changed in place) over a
+    Euclidean domain whose only falsy element is 0, given by its
+    operations: size(a) of a != 0, divmod_(a, b) = (q, r) with a = q b + r,
+    r = 0 or size(r) < size(b), sub, mul, normal(a) the associate of a to
+    report, gcd(a, b) normal.
+
+    Each pass swaps an entry of least size in the trailing block to the
+    pivot p and clears p's column by row quotient steps and p's row by
+    column ones; a remainder left is smaller than p, so pivots shrink
+    until a pass leaves none.  These steps are unimodular, so for every k the diagonal keeps
+    A's gcd of k x k minors.  So does replacing a pair d_i, d_j (i < j)
+    with d_i not dividing d_j by (gcd, lcm): a k-subset holding one of
+    them and a product X of others gives d_i X and d_j X, whose gcd is
+    that of gcd X and lcm X.  After the sweep each d_i divides every later
+    d_j, and a chain with those gcds of minors is the Smith form.
+    """
+    m, n = _shape(A, ncols)
     diag = []
     top = 0
     while top < min(m, n):
-        # locate least-absolute-value nonzero entry in the trailing block
         best = None
         for i in range(top, m):
             for j in range(top, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+                a = A[i][j]
+                if a and (best is None or size(a) < best[0]):
+                    best = size(a), i, j
         if best is None:
             break
-        bi, bj = best
+        _, bi, bj = best
         A[top], A[bi] = A[bi], A[top]
-        for row in A:
+        for row in A[top:]:
             row[top], row[bj] = row[bj], row[top]
-        p = A[top][top]
-        dirty = False
-        for i in range(top + 1, m):
-            q = A[i][top] // p
-            if q:
-                for j in range(top, n):
-                    A[i][j] -= q * A[top][j]
-            if A[i][top]:
-                dirty = True
+        pivot_row, p = A[top], A[top][top]
+        for row in A[top + 1:]:
+            if row[top]:
+                q, row[top] = divmod_(row[top], p)
+                for j in range(top + 1, n):
+                    if pivot_row[j]:  # a - q 0 = a
+                        row[j] = sub(row[j], mul(q, pivot_row[j]))
+        left = [row for row in A[top + 1:] if row[top]]
         for j in range(top + 1, n):
-            q = A[top][j] // p
-            if q:
-                for i in range(top, m):
-                    A[i][j] -= q * A[i][top]
-            if A[top][j]:
-                dirty = True
-        if dirty:
+            if pivot_row[j]:
+                q, pivot_row[j] = divmod_(pivot_row[j], p)
+                for row in left:
+                    row[j] = sub(row[j], mul(q, row[top]))
+        if left or any(pivot_row[top + 1:]):
             continue
-        diag.append(abs(p))
+        diag.append(normal(p))
         top += 1
-    # enforce the divisibility chain by gcd/lcm pair replacement
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            if diag[i + 1] % diag[i]:
-                g = math.gcd(diag[i], diag[i + 1])
-                diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
-                changed = True
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if divmod_(b, a)[1]:
+                g = gcd(a, b)
+                diag[i], diag[j] = g, normal(mul(divmod_(a, g)[0], b))
+    return diag
+
+
+def smith_normal_form_int(rows, ncols=None) -> SmithResult:
+    """Smith form over Z, invariant factors positive."""
+    A = [[int(x) for x in r] for r in rows]
+    diag = _smith(A, ncols, abs, divmod, operator.sub, operator.mul, abs, math.gcd)
     return SmithResult(diagonal=tuple(diag), rank=len(diag))
 
 
 def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
-    """SNF over F[x], F = Q or F_p.  Entries are coefficient lists.
+    """Smith form over F[x], F = Q or F_p, invariant factors monic.  Entries
+    are coefficient lists.
 
     The Q[x] form of a matrix over Z[x] need not reduce mod p to its F_p[x]
     form: for xI - A with A the companion matrices of x^2 - 3x + 1 and
@@ -262,61 +280,18 @@ def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
     the F_p[x] form has two quadratic ones.  Counts at p therefore take the
     form over F_p at each p.
     """
-    m, n = _shape(rows, ncols)
     A = [[pnormalize(list(e)) for e in r] for r in rows]
     if not isinstance(F, PrimeField):
         A = [[[Fraction(c) for c in e] for e in r] for r in A]
-
-    diag = []
-    top = 0
-    while top < min(m, n):
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if A[i][j] and (best is None or pdeg(A[i][j]) < pdeg(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        A[top], A[bi] = A[bi], A[top]
-        for row in A:
-            row[top], row[bj] = row[bj], row[top]
-        piv = A[top][top]
-        dirty = False
-        for i in range(top + 1, m):
-            if A[i][top]:
-                q, r = pdivmod(F, A[i][top], piv)
-                for j in range(top, n):
-                    A[i][j] = psub(F, A[i][j], pmul(F, q, A[top][j]))
-                if A[i][top]:
-                    dirty = True
-        for j in range(top + 1, n):
-            if A[top][j]:
-                q, r = pdivmod(F, A[top][j], piv)
-                for i in range(top, m):
-                    A[i][j] = psub(F, A[i][j], pmul(F, q, A[i][top]))
-                if A[top][j]:
-                    dirty = True
-        if dirty:
-            continue
-        diag.append(pmonic(F, piv))
-        top += 1
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            if pmod(F, diag[i + 1], diag[i]):
-                g = gcd_over_field(F, diag[i], diag[i + 1])
-                lcm = pmonic(F, pdivmod(F, pmul(F, diag[i], diag[i + 1]), g)[0])
-                diag[i], diag[i + 1] = g, lcm
-                changed = True
-
+    diag = _smith(
+        A, ncols, len, partial(pdivmod, F), partial(psub, F), partial(pmul, F),
+        partial(pmonic, F), partial(gcd_over_field, F),
+    )
     return SmithResult(diagonal=tuple(tuple(d) for d in diag), rank=len(diag))
 
 
 def x_minus_matrix(F, A):
-    """The characteristic matrix xI - A as a PolyMatrix."""
+    """The characteristic matrix xI - A over F, entries coefficient lists."""
     n = len(A)
     out = []
     for i in range(n):

@@ -578,6 +578,7 @@ def test_group_action_refusal_names_the_action(tmp_path, capsys):
             {"type": "module_matrix", "torsion": [3, 3], "actions": [[[0, 1], [1, 0]], [[1, 1], [0, 1]]]},
             "actions[0] and actions[1] do not commute",
         ),
+        ({"type": "zk_by_z", "matrix": [[1]], "torsion": [2, 3]}, "field 'torsion' is longer than the action matrix size"),
     ],
 )
 def test_malformed_fields_exit2(tmp_path, capsys, doc, message):

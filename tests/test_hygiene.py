@@ -1,8 +1,9 @@
 """Static checks on the growthlab sources: no unused top-level import, no
 private top-level function that nothing in the package calls, every
 function the benchmark hooks into still exists, no reader expands a
-group descriptor, only fiber_mod_p builds a FiberModule, and the CLI
-imports no module it does not need at start-up."""
+group descriptor, only fiber_mod_p builds a FiberModule, one elimination
+serves every Smith form, and the CLI imports no module it does not need at
+start-up."""
 
 import ast
 import functools
@@ -110,6 +111,17 @@ def test_only_fiber_mod_p_builds_a_fiber_module():
     }
     elsewhere = [f"{name}:{node.lineno}" for name, tree in TREES.items() for node in calls(tree) if id(node) not in allowed]
     assert len(allowed) == 1 and not elsewhere, f"FiberModule built outside fiber_mod_p: {elsewhere}"
+
+
+def test_one_smith_elimination_serves_every_ring():
+    # the Smith forms over Z and over F[x] only hand their ring's operations
+    # to linalg._smith, which holds the one elimination
+    functions = {fn.name: fn for fn in TREES["linalg.py"].body if isinstance(fn, ast.FunctionDef)}
+    for name in ("smith_normal_form_int", "smith_normal_form_poly"):
+        nodes = list(ast.walk(functions[name]))
+        loops = [node.lineno for node in nodes if isinstance(node, (ast.For, ast.While))]
+        calls = {getattr(node.func, "id", None) for node in nodes if isinstance(node, ast.Call)}
+        assert not loops and "_smith" in calls, f"{name} eliminates by itself: loops at {loops}"
 
 
 def test_both_fields_offer_one_protocol():

@@ -1,6 +1,8 @@
+import functools
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from growthlab.linalg import (
     solve,
     x_minus_matrix,
 )
-from growthlab.poly import QQ, PrimeField, int_poly_to_field
+from growthlab.poly import QQ, PrimeField, gcd_over_field, int_poly_to_field, padd, pmod, pmul, psub
 
 
 def test_rank_kernel_image_examples():
@@ -69,8 +71,6 @@ def test_smith_int_divisibility_chain_and_minors():
 
 
 def _gcd_of_minors(A, k):
-    from itertools import combinations
-
     n, m = len(A), len(A[0])
     g = 0
     for rows in combinations(range(n), k):
@@ -142,16 +142,60 @@ def test_min_poly_divides_char_and_annihilates():
         assert len(mp) - 1 <= n
 
 
-def test_min_poly_over_q_is_the_last_invariant_factor():
-    # the incremental Krylov min poly against the Q[x] Smith form of xI - A
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(3), PrimeField(2 ** 61 - 1), QQ], ids=repr)
+def test_min_poly_is_the_last_invariant_factor(F):
+    # the incremental Krylov min poly against the F[x] Smith form of xI - A
     rng = random.Random(4)
     for _ in range(40):
         n = rng.randint(1, 5)
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.3:  # a repeated block, so the min poly is a proper factor
             A = [r + [0] * n for r in A] + [[0] * n + r for r in A]
-        last = smith_normal_form_poly(QQ, x_minus_matrix(QQ, A), len(A)).diagonal[-1]
-        assert min_poly_of_matrix(QQ, A) == list(last), A
+        last = smith_normal_form_poly(F, x_minus_matrix(F, A), len(A)).diagonal[-1]
+        assert min_poly_of_matrix(F, [[F.from_int(x) for x in r] for r in A]) == list(last), A
+
+
+@pytest.mark.parametrize("F", [PrimeField(2), PrimeField(5), QQ], ids=repr)
+def test_smith_poly_divisibility_chain_and_minors(F):
+    rng = random.Random(repr(F))
+
+    def entry(least_len):  # degree <= 2
+        return int_poly_to_field(F, [rng.randint(-3, 3) for _ in range(rng.randint(least_len, 3))])
+
+    for _ in range(30):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        # a diagonal A leaves its chain to the gcd/lcm repair alone
+        diagonal = rng.random() < 0.5
+        A = [[entry(2) if i == j else [] if diagonal else entry(0) for j in range(n)] for i in range(m)]
+        diag = [list(d) for d in smith_normal_form_poly(F, A, n).diagonal]
+        for a, b in zip(diag, diag[1:]):
+            assert pmod(F, b, a) == [], (A, diag)
+        # product of the first k factors = monic gcd of the k x k minors, and
+        # the minors past the rank vanish
+        for k in range(1, min(m, n) + 1):
+            prod = functools.reduce(functools.partial(pmul, F), diag[:k], [F.one]) if k <= len(diag) else []
+            assert prod == _gcd_of_poly_minors(F, A, k), (A, k, diag)
+
+
+def _gcd_of_poly_minors(F, A, k):
+    g = []
+    for rows in combinations(range(len(A)), k):
+        for cols in combinations(range(len(A[0])), k):
+            d = _poly_det(F, [[A[r][c] for c in cols] for r in rows])
+            if d:
+                g = gcd_over_field(F, g, d)
+    return g
+
+
+def _poly_det(F, M):
+    """Laplace expansion along the first row."""
+    if not M:
+        return [F.one]
+    det = []
+    for j, a in enumerate(M[0]):
+        term = pmul(F, a, _poly_det(F, [row[:j] + row[j + 1:] for row in M[1:]]))
+        det = psub(F, det, term) if j % 2 else padd(F, det, term)
+    return det
 
 
 def test_smith_poly_examples():
