@@ -98,8 +98,6 @@ def _integer_kth_root(n: int, k: int) -> int:
     any start at or above the root the steps decrease to it: by the AM-GM
     inequality a step never falls below it.
     """
-    if k == 1:
-        return n
     bits = n.bit_length()
     if bits // k < 1000:
         r = int(2 ** (math.log2(n) / k) * (1 + 2 ** -30)) + 1

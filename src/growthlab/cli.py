@@ -129,7 +129,7 @@ def parse_spec(doc) -> GroupDescriptor | MatrixAction | Presented:
             f_raw = doc.get("f", {})
             if not isinstance(f_raw, dict):
                 raise SpecError("field 'f' must be an object mapping 'i,j' to vectors")
-            f_vectors = {}
+            f_vectors = []
             for key, vec in f_raw.items():
                 parts = key.split(",")
                 if len(parts) != 2:
@@ -138,7 +138,7 @@ def parse_spec(doc) -> GroupDescriptor | MatrixAction | Presented:
                     pair = (int(parts[0]), int(parts[1]))
                 except ValueError as exc:
                     raise SpecError(f"f key {key!r} is not a pair of integers") from exc
-                f_vectors[pair] = _int_array(vec, f"f[{key}]")
+                f_vectors.append((pair, _int_array(vec, f"f[{key}]")))
             return NilpotentGf(ell=ell, f_vectors=f_vectors)
         if typename == "module_matrix":
             group_action = doc.get("group_action", False)

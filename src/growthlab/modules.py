@@ -17,13 +17,14 @@ factors.  With two or more actions, a fiber on which some action A is
 cyclic (deg of its min poly mu = dim) is F_p[x]/(mu) and is read the same
 way; any other fiber is split by joint_spectrum into primary components of
 the commuting algebra.  module_invariants reads the generic fiber in
-characteristic 0, where a cyclic action on the top is likewise the operator
-it is read from.
+characteristic 0 off one operator that generates the actions' algebra on
+the top.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -318,8 +319,6 @@ def fiber_mod_p(m: ModuleDescriptor, p: int):
 
 def _restrict(F, M, basis, dim):
     """Matrix of M on the invariant subspace spanned by `basis`."""
-    if not basis:
-        return []
     bt = [[basis[j][i] for j in range(len(basis))] for i in range(dim)]
     cols = []
     for b in basis:
@@ -444,7 +443,7 @@ def _spectrum_of_component(F, mats, dim, out):
         _spectrum_of_component(F, sub, sdim, out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def joint_spectrum(fiber: FiberModule) -> tuple[SpectrumEntry, ...]:
     """Maximal ideals of the algebra generated by the actions of
     fiber = fiber_mod_p(m, p), m a MatrixAction.
@@ -632,8 +631,8 @@ def split_triv_nontriv(m: ModuleDescriptor, n: int) -> tuple[int, int]:
 
 def _generic_operator(blocks, k):
     """(c, sigma): c = sum_i lambda_i A_i acting on the top W of Q^k under
-    the commuting A_i and generating the algebra they induce there; sigma =
-    sum_i lambda_i is its value on the trivial quotient.
+    the commuting A_i and generating the algebra S they induce there;
+    sigma = sum_i lambda_i is its value on the trivial quotient.
 
     W = Q^k / sum_i im r_i(A_i), r_i the squarefree part of A_i's min poly.
     The r_i(A_i) are nilpotent and, in characteristic 0, generate the
@@ -644,16 +643,18 @@ def _generic_operator(blocks, k):
     kernel of the r_i(A_i)^T, where the A_i^T act with the same invariant
     factors.
 
-    c generates S iff deg minpoly(c) = dim S.  As dim S <= dim W, an A_i
-    cyclic on W is such a c, with lambda = e_i and sigma = 1; the walk below
-    runs only when no A_i is.  There c = sum_i lambda_i A_i fails iff it
-    takes one value at two of the dim S points of Spec(S (x) C).  Each such pair is a
-    nonzero linear condition on lambda, as the A_i generate S: a hyperplane,
-    which the moment curve lambda_i = j^i meets at most l - 1 times with
-    j >= 1 (sum_i a_i j^i is j times a polynomial of degree l - 1).  So the
-    walk j = 1, 2, ... ends.  Then S = prod_j Q[x]/(h_j), the h_j distinct
-    irreducibles, and c has invariant factors b_i = prod {h_j : s_j > d - i},
-    i = 1..d, d = max s_j.
+    The candidates are each A_i, with lambda = e_i and sigma = 1, then
+    lambda_i = j^i for j = 1, 2, ...; the first c that every A_i is a
+    polynomial in is taken, as then Q[c] = S.  With e = deg minpoly(c),
+    that is rank e for the flattened I, c, ..., c^(e-1), A_1, ..., A_l; it
+    holds with no rank taken when e = dim W, as e = dim Q[c] <= dim S <=
+    dim W.  A lambda fails iff c takes one value at two of the dim S points
+    of Spec(S (x) C).  Each such pair is a nonzero linear condition on
+    lambda, as the A_i generate S: a hyperplane, which the moment curve
+    lambda_i = j^i meets at most l - 1 times with j >= 1 (sum_i a_i j^i is
+    j times a polynomial of degree l - 1).  So the loop ends.  Then
+    S = prod_j Q[x]/(h_j), the h_j distinct irreducibles, and c has
+    invariant factors b_i = prod {h_j : s_j > d - i}, i = 1..d, d = max s_j.
     """
     rows = []
     for A in blocks:
@@ -661,18 +662,17 @@ def _generic_operator(blocks, k):
         rows.extend([nil[r][c] for r in range(k)] for c in range(k))
     dual = kernel_basis(QQ, rows, k)
     mats = [_restrict(QQ, [list(col) for col in zip(*A)], dual, k) for A in blocks]
-    w = len(dual)
-    for M in mats:
-        if pdeg(min_poly_of_matrix(QQ, M)) == w:
-            return M, 1
-    dim_s = len(_algebra_basis(QQ, mats, w))
-    j = 1
-    while True:
-        lam = [j ** i for i in range(1, len(blocks) + 1)]
+    w, ell = len(dual), len(mats)
+    candidates = itertools.chain(
+        ([int(i == j) for i in range(ell)] for j in range(ell)),
+        ([j ** i for i in range(1, ell + 1)] for j in itertools.count(1)),
+    )
+    for lam in candidates:
         c = [[sum(x * M[r][s] for x, M in zip(lam, mats)) for s in range(w)] for r in range(w)]
-        if pdeg(min_poly_of_matrix(QQ, c)) == dim_s:
+        e = pdeg(min_poly_of_matrix(QQ, c))
+        powers = itertools.accumulate([c] * (e - 1), functools.partial(mat_mul, QQ), initial=identity_matrix(QQ, w))
+        if e == w or rank(QQ, [[x for row in P for x in row] for P in [*powers, *mats]], w * w) == e:
             return c, sum(lam)
-        j += 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -129,8 +129,6 @@ def psub(F, a, b):
 
 
 def pscale(F, c, a):
-    if c == F.zero:
-        return []
     return pnormalize([F.reduce(c * x) for x in a])
 
 
@@ -360,7 +358,7 @@ def factor_mod_p(f, p: int) -> FactorizationModP:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     F = PrimeField(p)
-    fbar = int_poly_to_field(F, f) if f and isinstance(f[0], int) else pnormalize(f)
+    fbar = int_poly_to_field(F, f)
     if not fbar:
         raise ValueError("polynomial vanishes mod p (content divisible by p)")
     rng = random.Random(_SPLIT_SEED)
@@ -368,8 +366,6 @@ def factor_mod_p(f, p: int) -> FactorizationModP:
     fbar = pmonic(F, fbar)
     found: dict[tuple[int, ...], int] = {}
     for part, mult in _squarefree_decomposition(F, fbar):
-        if pdeg(part) < 1:
-            continue
         for d, g in distinct_degree_factorization(F, part):
             for irr in _equal_degree_split(F, g, d, rng):
                 key = tuple(irr)

@@ -123,6 +123,9 @@ def test_asymptote(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rho1"] == 3 and doc["d"] == 1
+    # the JSON table carries the same leading term
+    code3, table, _ = _run(["table", spec, "--max-n", "5", "--format", "json"], capsys)
+    assert code3 == 0 and json.loads(table)["asymptotic"] == doc
     wspec = _spec(tmp_path, WREATH, "w.json")
     code2, _, _ = _run(["asymptote", wspec], capsys)
     assert code2 == 3
@@ -232,6 +235,18 @@ def test_table_and_check_refuse_a_max_n_out_of_range(tmp_path, capsys):
         assert _run(["check", spec, "--max-n", str(n)], capsys) == (3, "", f"error: --max-n must be >= 2, got {n}\n")
 
 
+def test_check_exit4_on_a_mismatch(tmp_path, capsys, monkeypatch):
+    # an oracle that is one off at n = 4 fails one of the seven comparisons
+    from growthlab import oracle
+
+    count = oracle.oracle_count_max_submodules
+    monkeypatch.setattr(oracle, "oracle_count_max_submodules", lambda fib, n: count(fib, n) + (n == 4))
+    spec = _spec(tmp_path, {"type": "module_matrix", "actions": [[[0, 1], [1, 0]]]})
+    code, out, err = _run(["check", spec, "--max-n", "9"], capsys)
+    assert (code, err) == (4, "1 of 7 comparisons disagree\n")
+    assert [line for line in out.splitlines() if "MISMATCH" in line] == ["n=4: MISMATCH (engine=0 oracle=1)"]
+
+
 def test_check_exit4_when_nothing_checked(tmp_path, capsys):
     # group descriptors are not module-backed checkables
     spec = _spec(tmp_path, HEIS)
@@ -246,6 +261,10 @@ def test_bad_spec_exit2(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     code2, _, _ = _run(["table", missing, "--max-n", "10"], capsys)
     assert code2 == 2
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    code3, out3, err3 = _run(["table", str(broken), "--max-n", "10"], capsys)
+    assert (code3, out3) == (2, "") and err3.startswith("spec error: spec file is not valid JSON: ")
 
 
 @pytest.mark.parametrize(
@@ -579,6 +598,10 @@ def test_group_action_refusal_names_the_action(tmp_path, capsys):
             "actions[0] and actions[1] do not commute",
         ),
         ({"type": "zk_by_z", "matrix": [[1]], "torsion": [2, 3]}, "field 'torsion' is longer than the action matrix size"),
+        # two spellings of one pair, which a dict of pairs would merge
+        ({"type": "nilpotent_gf", "ell": 3, "f": {"1,2": [1, 0, 0], "1, 2": [0, 0, 0]}}, "duplicate f key (1, 2)"),
+        ({"type": "zk_by_z"}, "zk_by_z spec is missing required field 'matrix'"),
+        ({"type": "zk_by_z", "matrix": [[1.5]]}, "field 'matrix' must contain only integers"),
     ],
 )
 def test_malformed_fields_exit2(tmp_path, capsys, doc, message):

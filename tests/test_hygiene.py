@@ -1,8 +1,9 @@
 """Static checks on the growthlab sources: no unused top-level import, no
 private top-level function that nothing in the package calls, every
 function the benchmark hooks into still exists, no reader expands a
-group descriptor, only fiber_mod_p builds a FiberModule, one elimination
-serves every Smith form, and the CLI imports no module it does not need at
+group descriptor, only fiber_mod_p builds a FiberModule, only the
+Frobenius certificate closes an algebra basis, one elimination serves
+every Smith form, and the CLI imports no module it does not need at
 start-up."""
 
 import ast
@@ -111,6 +112,20 @@ def test_only_fiber_mod_p_builds_a_fiber_module():
     }
     elsewhere = [f"{name}:{node.lineno}" for name, tree in TREES.items() for node in calls(tree) if id(node) not in allowed]
     assert len(allowed) == 1 and not elsewhere, f"FiberModule built outside fiber_mod_p: {elsewhere}"
+
+
+def test_only_the_frobenius_certificate_closes_an_algebra():
+    # _generic_operator tests a candidate by its powers, so an algebra
+    # basis is closed only over F_p, for _frobenius_fixed_space
+    callers = [
+        f"{name}:{fn.name}"
+        for name, tree in TREES.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and "_algebra_basis" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == ["modules.py:_spectrum_of_component"], f"_algebra_basis called from {callers}"
 
 
 def test_one_smith_elimination_serves_every_ring():
