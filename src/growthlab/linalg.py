@@ -1,6 +1,7 @@
 """Exact linear algebra: Gaussian elimination over fields, minimal
-polynomials, and Smith normal forms over Z, F_p[x] and Q[x], all three
-from one elimination, `_smith`, given each ring's operations.
+polynomials, Smith normal forms over Z, F_p[x] and Q[x], all three from one
+elimination, `_smith`, given each ring's operations, and the determinant
+over Z[x] from one fraction-free elimination, `_bareiss`, given the same.
 
 Matrices are lists of rows.  Vectors are column vectors: A maps x to A@x,
 so `kernel_basis` solves A x = 0.
@@ -17,13 +18,16 @@ from functools import partial
 
 from ._record import Record
 from .poly import (
+    ZZ,
     PrimeField,
     gcd_over_field,
     pdeg,
     pdivmod,
+    pexquo,
     pmonic,
     pmul,
     pnormalize,
+    pscale,
     psub,
 )
 
@@ -288,6 +292,59 @@ def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
         partial(pmonic, F), partial(gcd_over_field, F),
     )
     return SmithResult(diagonal=tuple(tuple(d) for d in diag), rank=len(diag))
+
+
+# -- determinant --------------------------------------------------------------
+
+
+def _bareiss(A, size, sub, mul, exquo, neg):
+    """Determinant of the square matrix A (rows, changed in place) over an
+    integral domain whose only falsy element is 0, given by its operations:
+    size(a) of a != 0 to choose pivots by, sub, mul, neg, and exquo(a, b) =
+    a / b for b dividing a.
+
+    Fraction-free elimination (Bareiss 1968): step k takes the pivot
+    p_k = A[k][k], after a row swap if need be, and sets
+    A[i][j] = (p_k A[i][j] - A[i][k] A[k][j]) / p_(k-1) for i, j > k, with
+    p_(-1) = 1.  By Sylvester's identity the new entry is the minor on rows
+    0..k, i and columns 0..k, j, so every division is exact, and the last
+    pivot is det A up to the sign of the swaps.  A row whose entry in the
+    pivot column is 0 would only be scaled by p_k / p_(k-1), so it is left
+    alone, and `last` keeps the pivot of its last update (None for 1).
+    Over the steps since that update, p_s, the scalings telescope to
+    p_k / p_s: so the row is next eliminated with p_s as its divisor, and
+    brought up to date, when it becomes the pivot row, by one product with
+    p_(k-1) and one division by p_s.
+    """
+    n, last, prev, odd = len(A), [None] * len(A), None, False
+    for k in range(n):
+        below = [(size(A[i][k]), i) for i in range(k, n) if A[i][k]]
+        if not below:
+            return A[k][k]
+        i = min(below)[1]
+        if i != k:
+            A[k], A[i], last[k], last[i], odd = A[i], A[k], last[i], last[k], not odd
+        row = A[k]
+        if last[k] != prev:
+            row[k:] = [exquo(mul(a, prev), last[k]) if last[k] else mul(a, prev) for a in row[k:]]
+        p = row[k]
+        for i in range(k + 1, n):
+            other, a = A[i], A[i][k]
+            if a:
+                for j in range(k + 1, n):
+                    if other[j] or row[j]:
+                        x = sub(mul(p, other[j]), mul(a, row[j]))
+                        other[j] = exquo(x, last[i]) if last[i] else x
+                last[i] = p
+        prev = p
+    return neg(prev) if odd else prev
+
+
+def det_int_poly(rows):
+    """Determinant over Z[x] of a square matrix whose entries are integer
+    coefficient lists, by `_bareiss`."""
+    A = [[pnormalize(list(e)) for e in r] for r in rows]
+    return _bareiss(A, len, partial(psub, ZZ), partial(pmul, ZZ), pexquo, partial(pscale, ZZ, -1))
 
 
 def x_minus_matrix(F, A):

@@ -9,16 +9,19 @@ e and multiplicity s at each maximal ideal, and sum (q^s - 1)/(q - 1) over
 the ideals with residue field of the right size q = p^k.  The per-prime data
 is one PrimeProfile, which every count at the powers of p is read from.
 
-In one variable the module is Presented: a MatrixAction with one action A
-on Z^k (+) (+)_j Z/t_j is coker [xI - A | t_j e_(k+j)] over Z[x], and is
+In one variable the module is Presented: a MatrixAction with one action A on
+Z^k (+) (+)_j Z/t_j is coker [xI - A | t_j e_(k+j)] over Z[x], and is
 counted, classified and read in characteristic 0 as that presentation.  Its
 fiber is an F_p[x]-module, and the profile is read off its F_p[x] invariant
-factors.  With two or more actions, a fiber on which some action A is
-cyclic (deg of its min poly mu = dim) is F_p[x]/(mu) and is read the same
-way; any other fiber is split by joint_spectrum into primary components of
-the commuting algebra.  module_invariants reads the generic fiber in
-characteristic 0 off one operator that generates the actions' algebra on
-the top.
+factors.  A square relation matrix with a squarefree determinant D in Z[x]
+takes no Smith form: its one non-unit factor is D mod p at every prime not
+dividing Res(D, D'), and D / lc D over Q (fiber_mod_p argues why); any other
+presentation, and those primes, take the Smith form.  With two or more
+actions, a fiber on which some action A is cyclic (deg of its min poly mu =
+dim) is F_p[x]/(mu) and is read the same way; any other fiber is split by
+joint_spectrum into primary components of the commuting algebra.
+module_invariants reads the generic fiber in characteristic 0 off one
+operator that generates the actions' algebra on the top.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from fractions import Fraction
 from ._record import Record
 from .arith import is_prime, prime_power_decompose, primes_up_to
 from .linalg import (
+    det_int_poly,
     identity_matrix,
     kernel_basis,
     mat_apply,
@@ -47,6 +51,7 @@ from .linalg import (
 )
 from .poly import (
     QQ,
+    ZZ,
     PrimeField,
     count_irreducibles,
     distinct_complex_root_count,
@@ -55,9 +60,12 @@ from .poly import (
     gcd_over_field,
     int_poly_to_field,
     pdeg,
+    pderiv,
     peval,
     pmod,
+    pmonic,
     pnormalize,
+    resultant,
     squarefree_part,
 )
 
@@ -278,11 +286,37 @@ def _one_variable(m):
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _squarefree_det(m: Presented):
+    """(D, B) for a square relation matrix R on two or more generators
+    whose determinant D over Z[x] is nonzero and squarefree over Q, with
+    B = Res(D, D') = +-lc(D) disc(D), or B = D for a constant D; None for
+    any other m.  B != 0 iff D is squarefree, as Q has characteristic 0.
+    Cached, as every prime of a table reads it."""
+    rel = m.relations
+    if m.gens < 2 or not rel or len(rel[0]) != m.gens:
+        return None
+    D = det_int_poly(rel)
+    bad = resultant(D, pderiv(ZZ, D)) if pdeg(D) >= 1 else sum(D)
+    return (D, bad) if bad else None
+
+
 def fiber_mod_p(m: ModuleDescriptor, p: int):
     """N/pN: a PresentedFiber for a Presented m.  A MatrixAction keeps its
     free generators and the torsion generators k + j with p | t_j, with its
     actions reduced mod p on them; this is the only constructor of a
     FiberModule.
+
+    A Presented m with a squarefree determinant D (_squarefree_det) has the
+    one invariant factor D mod p, made monic, at every p not dividing B,
+    and none when that is a constant: no Smith form is taken.  There
+    D mod p keeps its degree and is squarefree, and it is det(R mod p),
+    which the invariant factors b_1 | ... | b_n of R mod p multiply to up
+    to a unit.  So b_(n-1)^2 divides b_(n-1) b_n, which divides a
+    squarefree product, and every factor but b_n is a unit: the
+    one-variable twin of prime_profile's cyclic action.  At the finitely
+    many primes dividing B, and for any other Presented m, the F_p[x]
+    Smith form of R is taken.
 
     The reduced actions commute mod p, as MatrixAction checked that the
     actions commute modulo torsion.  A kept row r has A[r][s] = 0 mod p for
@@ -296,7 +330,10 @@ def fiber_mod_p(m: ModuleDescriptor, p: int):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(m, Presented):
-        F = PrimeField(p)
+        F, det = PrimeField(p), _squarefree_det(m)
+        if det and det[1] % p:
+            D = pmonic(F, int_poly_to_field(F, det[0]))
+            return PresentedFiber(p=p, invariant_factors=(tuple(D),) if len(D) > 1 else (), free_rank=0)
         rows = [[int_poly_to_field(F, list(e)) for e in row] for row in m.relations]
         snf = smith_normal_form_poly(F, rows, ncols=len(rows[0]) if rows else 0)
         return PresentedFiber(
@@ -641,7 +678,9 @@ def _generic_operator(blocks, k):
     W = (+)_j K_j^(s_j): at a generic p the primes of K_j over p are simple
     quotients of multiplicity s_j.  W is worked on as its dual, the common
     kernel of the r_i(A_i)^T, where the A_i^T act with the same invariant
-    factors.
+    factors.  An r_i(A_i) with r_i the min poly itself is 0 and is not
+    built; when all are, W = Q^k, its dual basis is the standard one, and
+    each A_i^T is its own restriction.
 
     The candidates are each A_i, with lambda = e_i and sigma = 1, then
     lambda_i = j^i for j = 1, 2, ...; the first c that every A_i is a
@@ -658,10 +697,14 @@ def _generic_operator(blocks, k):
     """
     rows = []
     for A in blocks:
-        nil = poly_of_matrix(QQ, squarefree_part(QQ, min_poly_of_matrix(QQ, A)), A)
-        rows.extend([nil[r][c] for r in range(k)] for c in range(k))
+        mu = min_poly_of_matrix(QQ, A)
+        rad = squarefree_part(QQ, mu)
+        if len(rad) < len(mu):
+            nil = poly_of_matrix(QQ, rad, A)
+            rows.extend([nil[r][c] for r in range(k)] for c in range(k))
     dual = kernel_basis(QQ, rows, k)
-    mats = [_restrict(QQ, [list(col) for col in zip(*A)], dual, k) for A in blocks]
+    transposes = [[list(col) for col in zip(*A)] for A in blocks]
+    mats = transposes if len(dual) == k else [_restrict(QQ, At, dual, k) for At in transposes]
     w, ell = len(dual), len(mats)
     candidates = itertools.chain(
         ([int(i == j) for i in range(ell)] for j in range(ell)),
@@ -690,24 +733,31 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
     every A_i - I.  Cached:
     mdeg, asymptotic_leading and the growth type all read it, keyed on the
     presentation in one variable.
+
+    A relation matrix with a squarefree determinant D (_squarefree_det)
+    takes no Smith form: by fiber_mod_p's argument over Q, its one
+    non-unit factor is D / lc D, with deg D distinct roots, and r0 = 0.
     """
     presented = _one_variable(m)
     if presented is not m:
         return module_invariants(presented)
-    if isinstance(m, Presented):
+    det = _squarefree_det(m) if isinstance(m, Presented) else None
+    if det:
+        diagonal, sigma, r0 = (tuple(pmonic(QQ, [Fraction(c) for c in det[0]])),), 1, 0
+    elif isinstance(m, Presented):
         rows = [[[*e] for e in row] for row in m.relations]
         snf, sigma = smith_normal_form_poly(QQ, rows, ncols=len(rows[0]) if rows else 0), 1
-        r0 = m.gens - snf.rank
+        diagonal, r0 = snf.diagonal, m.gens - snf.rank
     else:
         k, blocks, r0 = m.k, m.free_blocks(), None
         images = [[blk[r][c] - (r == c) for r in range(k)] for blk in blocks for c in range(k)]
         t = k - rank(QQ, images, k)
         op, sigma = (blocks[0], 1) if k == 0 else _generic_operator(blocks, k)
-        snf = smith_normal_form_poly(QQ, x_minus_matrix(QQ, op), ncols=len(op))
-    a = tuple(b for b in snf.diagonal if pdeg(b) >= 1)
+        diagonal = smith_normal_form_poly(QQ, x_minus_matrix(QQ, op), ncols=len(op)).diagonal
+    a = tuple(b for b in diagonal if pdeg(b) >= 1)
     if isinstance(m, Presented):
         t = r0 + sum(1 for b in a if peval(QQ, b, 1) == 0)
-    rho = tuple(distinct_complex_root_count(list(b)) for b in a)
+    rho = tuple(pdeg(b) if det else distinct_complex_root_count(list(b)) for b in a)
     # b is a power of x - sigma iff it has one distinct root and sigma is one
     trivial = sum(1 for b, roots in zip(a, rho) if roots == 1 and peval(QQ, list(b), sigma) == 0)
     d = (r0 or 0) + len(a)

@@ -8,10 +8,12 @@ argument.
 
 A field is `PrimeField(p)` or `QQ`, and offers `zero`, `one`, `from_int`,
 `inv` and `reduce`: `reduce` is a % p over F_p and the identity over Q.
-Kernels here and in `linalg` take reduced coefficients and return reduced
-coefficients.  Inside one kernel they add and multiply with Python's
-operators, so over F_p a sum of products stays an unreduced int until it is
-reduced once, as an output entry (delayed reduction, as in FFLAS-FFPACK).
+`ZZ` offers `zero`, `one` and the identity `reduce` for the kernels that
+never invert, which `linalg.det_int_poly` runs over Z.  Kernels here and in
+`linalg` take reduced coefficients and return reduced coefficients.  Inside
+one kernel they add and multiply with Python's operators, so over F_p a sum
+of products stays an unreduced int until it is reduced once, as an output
+entry (delayed reduction, as in FFLAS-FFPACK).
 Q and F_p share every kernel except one: arithmetic in F_p[x]/(m) on packed
 ints (`_PackedRing`), which every power modulo a polynomial over F_p takes,
 in ppowmod, in Berlekamp's matrix of distinct_degree_factorization and in the
@@ -101,6 +103,21 @@ class RationalField:
 
 
 QQ = RationalField()
+
+
+class IntegerRing:
+    """Z, for the kernels that never invert: `padd`, `psub`, `pmul`,
+    `pscale` and `pderiv` on int coefficients."""
+
+    zero = 0
+    one = 1
+
+    @staticmethod
+    def reduce(a):
+        return a
+
+
+ZZ = IntegerRing()
 
 
 # -- basic arithmetic ---------------------------------------------------------
@@ -274,6 +291,18 @@ def _primitive_part(f):
     return [c // g for c in f]
 
 
+def _prem(a, b):
+    """The pseudo-remainder of a by b over Z: lc(b)^(deg a - deg b + 1) a
+    minus a multiple of b, of degree < deg b."""
+    r = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        c = r[k + len(b) - 1]
+        r = [x * b[-1] for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+    return pnormalize(r)
+
+
 def _gcd_over_z(a, b):
     """Primitive gcd of nonzero integer polynomials by the primitive PRS
     (Collins 1967): each pseudo-remainder is reduced to its primitive part,
@@ -281,15 +310,44 @@ def _gcd_over_z(a, b):
     lemma it is the gcd over Q up to a unit."""
     a, b = _primitive_part(a), _primitive_part(b)
     while pdeg(b) >= 1:
-        r = a
-        while len(r) >= len(b):
-            c, k = r[-1], len(r) - len(b)
-            r = [x * b[-1] for x in r]
-            for i, y in enumerate(b):
-                r[k + i] -= c * y
-            r = pnormalize(r)
+        r = _prem(a, b)
         a, b = b, _primitive_part(r) if r else []
     return a if not b else [1]
+
+
+def pexquo(a, b):
+    """a / b over Z, for a nonzero b that divides a."""
+    a, db = list(a), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + db] // b[-1]
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return q
+
+
+def resultant(a, b):
+    """Res(a, b) of nonzero integer polynomials, not both constant, by the
+    subresultant PRS (Collins 1967; Brown and Traub 1971), as in Cohen's
+    *A Course in Computational Algebraic Number Theory*, Algorithm 3.3.7.
+    Every division is exact, and the coefficients stay the size of minors
+    of the Sylvester matrix.  Res(f, f') = +-lc(f) disc(f), so p divides
+    it iff f mod p loses degree or has a repeated factor."""
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    a, b = [c // ca for c in a], [c // cb for c in b]
+    out = ca ** pdeg(b) * cb ** pdeg(a)
+    if len(a) < len(b):
+        a, b = b, a
+        out *= (-1) ** (pdeg(a) * pdeg(b))
+    g = h = 1
+    while pdeg(b) > 0:
+        delta = pdeg(a) - pdeg(b)
+        out *= (-1) ** (pdeg(a) * pdeg(b))
+        a, b = b, [c // (g * h ** delta) for c in _prem(a, b)]
+        g = a[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+    return out * (b[-1] ** pdeg(a) // h ** (pdeg(a) - 1)) if b else 0
 
 
 # -- squarefree parts and root counts -----------------------------------------

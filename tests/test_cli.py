@@ -248,10 +248,11 @@ def test_check_exit4_on_a_mismatch(tmp_path, capsys, monkeypatch):
 
 
 def test_check_exit4_when_nothing_checked(tmp_path, capsys):
-    # group descriptors are not module-backed checkables
-    spec = _spec(tmp_path, HEIS)
-    code, _, err = _run(["check", spec, "--max-n", "9"], capsys)
-    assert code in (3, 4)
+    # every prime p <= 50 has p^9 > 81, so the oracle skips every n
+    spec = _spec(tmp_path, {"type": "wreath_cyclic", "m": 9})
+    code, out, err = _run(["check", spec, "--max-n", "50"], capsys)
+    assert code == 4 and err == "nothing verified: every n was skipped\n"
+    assert out.startswith("n=2: skipped (p^dim > 81)\n")
 
 
 def test_bad_spec_exit2(tmp_path, capsys):
@@ -856,10 +857,30 @@ def _assert_one_qx_smith_form(monkeypatch, capsys, commands):
         assert code == 0 and calls.count(True) == 1, argv
 
 
-def test_zk_by_z_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
-    # mdeg and the asymptote read the same cached module_invariants
+def _char0_work(monkeypatch, capsys, commands):
+    """(Q[x] Smith forms, Z[x] determinants) that each command takes; each
+    exits 0."""
+    calls = []
+    smith, det = modules.smith_normal_form_poly, modules.det_int_poly
+    monkeypatch.setattr(modules, "smith_normal_form_poly", lambda F, rows, ncols: calls.append(F is QQ) or smith(F, rows, ncols))
+    monkeypatch.setattr(modules, "det_int_poly", lambda rows: calls.append("det") or det(rows))
+    work = []
+    for argv in commands:
+        modules.module_invariants.cache_clear()
+        modules._squarefree_det.cache_clear()
+        calls.clear()
+        code, _, _ = _run(argv, capsys)
+        assert code == 0, argv
+        work.append((calls.count(True), calls.count("det")))
+    return work
+
+
+def test_zk_by_z_takes_one_determinant(tmp_path, capsys, monkeypatch):
+    # mdeg and the asymptote read the same cached module_invariants, and
+    # x^3 - 1 is squarefree, so no Q[x] Smith form is taken
     spec = _spec(tmp_path, ZKZ)
-    _assert_one_qx_smith_form(monkeypatch, capsys, [["mdeg", spec], ["table", spec, "--max-n", "20"]])
+    commands = [["mdeg", spec], ["table", spec, "--max-n", "20"]]
+    assert _char0_work(monkeypatch, capsys, commands) == [(0, 1)] * 2
 
 
 def test_one_action_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
@@ -872,10 +893,22 @@ def test_one_action_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
     ])
 
 
-def test_presented_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
-    # the growth type reads r0 and d off the cached module_invariants
+def test_presented_takes_one_determinant(tmp_path, capsys, monkeypatch):
+    # the growth type reads r0 and d off the cached module_invariants, and
+    # the determinant 2x^2 - 8 is squarefree
     spec = _spec(tmp_path, {"type": "module_presented", "gens": 2, "relations": [["x", "2"], ["4", "2x"]]})
-    _assert_one_qx_smith_form(monkeypatch, capsys, [["growth-type", spec], ["table", spec, "--max-n", "20"]])
+    commands = [["growth-type", spec], ["table", spec, "--max-n", "20"]]
+    assert _char0_work(monkeypatch, capsys, commands) == [(0, 1)] * 2
+
+
+def test_repeated_determinant_takes_one_qx_smith_form(tmp_path, capsys, monkeypatch):
+    # the 3-cycle doubled has determinant (x^3 - 1)^2, so its one
+    # characteristic-zero computation is still the Q[x] Smith form
+    C = ZKZ["matrix"]
+    doubled = [row + [0] * 3 for row in C] + [[0] * 3 + row for row in C]
+    spec = _spec(tmp_path, {"type": "zk_by_z", "matrix": doubled})
+    commands = [["mdeg", spec], ["table", spec, "--max-n", "20"]]
+    assert _char0_work(monkeypatch, capsys, commands) == [(1, 1)] * 2
 
 
 def test_deterministic_output(tmp_path):

@@ -139,6 +139,16 @@ def test_one_smith_elimination_serves_every_ring():
         assert not loops and "_smith" in calls, f"{name} eliminates by itself: loops at {loops}"
 
 
+def test_one_fraction_free_elimination_serves_the_determinant():
+    # the determinant over Z[x] only hands its ring's operations to
+    # linalg._bareiss, which holds the one fraction-free elimination
+    functions = {fn.name: fn for fn in TREES["linalg.py"].body if isinstance(fn, ast.FunctionDef)}
+    nodes = list(ast.walk(functions["det_int_poly"]))
+    loops = [node.lineno for node in nodes if isinstance(node, (ast.For, ast.While))]
+    calls = {getattr(node.func, "id", None) for node in nodes if isinstance(node, ast.Call)}
+    assert not loops and "_bareiss" in calls, f"det_int_poly eliminates by itself: loops at {loops}"
+
+
 def test_both_fields_offer_one_protocol():
     # every kernel runs over F_p and over Q through the same field methods,
     # so neither field may grow a method the other lacks

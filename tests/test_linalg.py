@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthlab.linalg import (
+    det_int_poly,
     identity_matrix,
     kernel_basis,
     mat_apply,
@@ -20,7 +22,7 @@ from growthlab.linalg import (
     solve,
     x_minus_matrix,
 )
-from growthlab.poly import QQ, PrimeField, gcd_over_field, int_poly_to_field, padd, pmod, pmul, psub
+from growthlab.poly import QQ, ZZ, PrimeField, gcd_over_field, int_poly_to_field, padd, pmod, pmul, pnormalize, psub
 
 
 def test_rank_kernel_image_examples():
@@ -196,6 +198,30 @@ def _poly_det(F, M):
         term = pmul(F, a, _poly_det(F, [row[:j] + row[j + 1:] for row in M[1:]]))
         det = psub(F, det, term) if j % 2 else padd(F, det, term)
     return det
+
+
+def test_det_int_poly_matches_laplace():
+    # half the entries are 0, so rows are often left alone while their
+    # pivot-column entry is 0, and brought up to date later
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        A = [
+            [[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] if rng.random() < 0.5 else [] for _ in range(n)]
+            for _ in range(n)
+        ]
+        A = [[pnormalize(e) for e in row] for row in A]
+        assert det_int_poly(A) == _poly_det(ZZ, A), A
+
+
+def test_det_int_poly_of_a_diagonal_scales_no_row():
+    # every row waits for its one pivot, so no step touches another row:
+    # 120 generators take milliseconds, not the seconds of a full update
+    n = 120
+    A = [[[-1, 1] if i == j else [] for j in range(n)] for i in range(n)]
+    start = time.perf_counter()
+    assert det_int_poly(A) == [math.comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_smith_poly_examples():

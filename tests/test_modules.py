@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from growthlab import modules
 from growthlab.arith import PrimePowerIndex, is_prime
-from growthlab.linalg import rank
+from growthlab.linalg import det_int_poly, rank, smith_normal_form_poly
 from growthlab.modules import (
     FiberModule,
     MatrixAction,
@@ -27,7 +28,9 @@ from growthlab.modules import (
 )
 from growthlab.groups import SemidirectFgAbelian, growth_table, mdeg
 from growthlab.oracle import oracle_count_max_submodules
-from growthlab.poly import QQ, PrimeField, factor_mod_p, parse_poly, pmonic, pmul
+from growthlab.poly import (
+    QQ, PrimeField, distinct_complex_root_count, factor_mod_p, parse_poly, peval, pmonic, pmul,
+)
 
 
 def _ma(k, actions, torsion=(), group_action=False):
@@ -919,3 +922,94 @@ def test_invariants_double_on_a_doubled_module():
         k = len(actions[0])
         d, d_nt, t = _invariants(_ma(k, actions))
         assert _invariants(_ma(2 * k, [_block_diag(M, M) for M in actions])) == (2 * d, 2 * d_nt, 2 * t)
+
+
+# -- the determinant route ------------------------------------------------------
+
+
+def _smith_fiber(m, p):
+    """N/pN of a Presented m from its F_p[x] Smith form, taken directly."""
+    F = PrimeField(p)
+    rows = [[[c % p for c in e] for e in row] for row in m.relations]
+    snf = smith_normal_form_poly(F, rows, ncols=len(rows[0]) if rows else 0)
+    return PresentedFiber(
+        p=p, invariant_factors=tuple(d for d in snf.diagonal if len(d) > 1), free_rank=m.gens - snf.rank,
+    )
+
+
+def _smith_invariants(m):
+    """(a, r0, rho, t) of a Presented m from its Q[x] Smith form."""
+    rows = [[list(e) for e in row] for row in m.relations]
+    snf = smith_normal_form_poly(QQ, rows, ncols=len(rows[0]) if rows else 0)
+    a, r0 = tuple(b for b in snf.diagonal if len(b) > 1), m.gens - snf.rank
+    rho = tuple(distinct_complex_root_count(list(b)) for b in a)
+    return a, r0, rho, r0 + sum(1 for b in a if peval(QQ, list(b), 1) == 0)
+
+
+def _square_presentation(rng, kind):
+    """A square relation matrix over Z[x]: random; triangular with a
+    constant determinant; with a column that is a multiple of another, so
+    D = 0; M (+) M; diagonal entries with leading coefficient 2, 3 or 6;
+    or, as a MatrixAction, one action on Z^k with or without torsion."""
+    def entry():
+        return [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+
+    n = rng.choice((2, 3))
+    R = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == "constant":
+        R = [[[rng.choice((-1, 1, 2, 3, 6))] if r == c else (R[r][c] if c > r else []) for c in range(n)] for r in range(n)]
+    elif kind == "zero":
+        scale = entry() or [1]
+        for row in R:
+            row[-1] = pmul(QQ, row[0], scale)
+    elif kind == "doubled":
+        R = [row + [[]] * n for row in R] + [[[]] * n + row for row in R]
+    elif kind == "leading":
+        for i in range(n):
+            R[i][i] = entry() + [rng.choice((2, 3, 6))]
+    elif kind == "action":
+        m = _random_action_with_torsion(rng)
+        return m if rng.random() < 0.5 else _ma(m.k or 1, [[[rng.randint(-3, 3) for _ in range(m.k or 1)] for _ in range(m.k or 1)]])
+    return Presented(gens=len(R), relations=tuple(tuple(tuple(int(c) for c in e) for e in row) for row in R))
+
+
+def test_determinant_route_matches_the_smith_forms():
+    # fiber_mod_p and module_invariants against the Smith forms of the same
+    # relation matrix, at every p <= 200 and at five 61-bit primes
+    primes = [p for p in range(2, 201) if is_prime(p)]
+    primes += [q for q in range(2 ** 61 - 1, 2 ** 61 - 2000, -2) if is_prime(q)][:5]
+    rng = random.Random(25)
+    seen = dict.fromkeys(["routed", "unit fiber", "p | lc D", "D = 0", "repeated factor", "torsion"], 0)
+    for i in range(420):
+        m = _square_presentation(rng, ["random", "constant", "zero", "doubled", "leading", "action"][i % 6])
+        presented = modules._one_variable(m)
+        if isinstance(m, MatrixAction) and m.torsion:
+            seen["torsion"] += 1
+        det = modules._squarefree_det(presented)
+        R = [[list(e) for e in row] for row in presented.relations]
+        D = det_int_poly(R) if len(R) == len(R[0]) else None
+        seen["D = 0"] += D == []
+        seen["repeated factor"] += bool(D) and not det
+        for p in primes:
+            fib = fiber_mod_p(presented, p)
+            assert fib == _smith_fiber(presented, p), (m, p)
+            if det and det[1] % p:
+                seen["routed"] += 1
+                seen["unit fiber"] += not fib.invariant_factors
+            seen["p | lc D"] += bool(det) and det[0][-1] % p == 0
+        inv = module_invariants(m)
+        assert (inv.a, inv.r0, inv.rho, inv.t) == _smith_invariants(presented), m
+    assert min(seen.values()) >= 20, seen
+
+
+def test_dense_presented_invariants_take_no_qx_smith_form():
+    # 4 x 4 relations of degree 8 (even low coefficients, then a leading
+    # one from 2, 4, 6): its Q[x] Smith form took 125 s, the determinant
+    # route takes milliseconds
+    rng = random.Random(1)
+    R = [[[rng.choice((0, 2, 4, 6)) for _ in range(8)] + [rng.choice((2, 4, 6))] for _ in range(4)] for _ in range(4)]
+    m = Presented(gens=4, relations=tuple(tuple(map(tuple, row)) for row in R))
+    start = time.perf_counter()
+    inv = module_invariants(m)
+    assert time.perf_counter() - start < 1.0
+    assert inv.d == 1 and inv.rho == (32,)
