@@ -1,7 +1,7 @@
 """Exact linear algebra: Gaussian elimination over fields, minimal
 polynomials, Smith normal forms over Z, F_p[x] and Q[x], all three from one
 elimination, `_smith`, given each ring's operations, and the determinant
-over Z[x] from one fraction-free elimination, `_bareiss`, given the same.
+over Z[x] as one integer determinant, by the fraction-free `_bareiss`.
 
 Matrices are lists of rows.  Vectors are column vectors: A maps x to A@x,
 so `kernel_basis` solves A x = 0.
@@ -18,16 +18,15 @@ from functools import partial
 
 from ._record import Record
 from .poly import (
-    ZZ,
     PrimeField,
     gcd_over_field,
+    kronecker_pack,
+    kronecker_unpack,
     pdeg,
     pdivmod,
-    pexquo,
     pmonic,
     pmul,
     pnormalize,
-    pscale,
     psub,
 )
 
@@ -50,12 +49,14 @@ def identity_matrix(F, n):
 
 
 def mat_mul(F, A, B):
+    """A B over F.  Each sum starts at 0 times an entry of its row of A, so
+    over QQ, whose reduce is the identity, int matrices give int matrices."""
     if A and B and len(A[0]) != len(B):
         raise ValueError("dimension mismatch in mat_mul")
     nc = len(B[0]) if B else 0
     out = []
     for row in A:
-        acc = [F.zero] * nc
+        acc = [0 * row[0]] * nc if nc else []
         for a, brow in zip(row, B):
             if a:
                 for j, y in enumerate(brow):
@@ -341,10 +342,16 @@ def _bareiss(A, size, sub, mul, exquo, neg):
 
 
 def det_int_poly(rows):
-    """Determinant over Z[x] of a square matrix whose entries are integer
-    coefficient lists, by `_bareiss`."""
-    A = [[pnormalize(list(e)) for e in r] for r in rows]
-    return _bareiss(A, len, partial(psub, ZZ), partial(pmul, ZZ), pexquo, partial(pscale, ZZ, -1))
+    """Determinant D over Z[x] of a nonempty square matrix R of integer
+    coefficient lists by Kronecker substitution: the balanced base-2^b
+    digits of det R(2^b), one determinant over Z by `_bareiss`.  They are
+    D's coefficients once each is below 2^(b-1) in absolute value.
+    Coefficient k is the mean of D(z) z^(-k) on |z| = 1, at most max |D(z)|
+    there: by Hadamard's inequality and |R_ij(z)| <= ||R_ij||_1, at most
+    S = sqrt(prod_i sum_j ||R_ij||_1^2) < 2^(b-2), b = bitlen(isqrt(S^2) + 1) + 2."""
+    b = (math.isqrt(math.prod(sum(sum(map(abs, e)) ** 2 for e in row) for row in rows)) + 1).bit_length() + 2
+    A = [[kronecker_pack(e, b) for e in row] for row in rows]
+    return kronecker_unpack(_bareiss(A, abs, operator.sub, operator.mul, operator.floordiv, operator.neg), b)
 
 
 def x_minus_matrix(F, A):

@@ -13,13 +13,14 @@ In one variable the module is Presented: a MatrixAction with one action A on
 Z^k (+) (+)_j Z/t_j is coker [xI - A | t_j e_(k+j)] over Z[x], and is
 counted, classified and read in characteristic 0 as that presentation.  Its
 fiber is an F_p[x]-module, and the profile is read off its F_p[x] invariant
-factors.  A square relation matrix with a squarefree determinant D in Z[x]
-takes no Smith form: its one non-unit factor is D mod p at every prime not
-dividing Res(D, D'), and D / lc D over Q (fiber_mod_p argues why); any other
-presentation, and those primes, take the Smith form.  With two or more
-actions, a fiber on which some action A is cyclic (deg of its min poly mu =
-dim) is F_p[x]/(mu) and is read the same way; any other fiber is split by
-joint_spectrum into primary components of the commuting algebra.
+factors.  A square relation matrix whose determinant D in Z[x] is squarefree
+over Q takes no Smith form: its one non-unit factor is D mod p at every
+prime where D mod p is nonzero and prime to its derivative, and D / lc D
+over Q (fiber_mod_p argues why); any other presentation, and the other
+primes, take the Smith form.  With two or more actions, a fiber on which
+some action A is cyclic (deg of its min poly mu = dim) is F_p[x]/(mu) and is
+read the same way; any other fiber is split by joint_spectrum into primary
+components of the commuting algebra.
 module_invariants reads the generic fiber in characteristic 0 off one
 operator that generates the actions' algebra on the top.
 """
@@ -51,7 +52,6 @@ from .linalg import (
 )
 from .poly import (
     QQ,
-    ZZ,
     PrimeField,
     count_irreducibles,
     distinct_complex_root_count,
@@ -65,9 +65,11 @@ from .poly import (
     pmod,
     pmonic,
     pnormalize,
-    resultant,
     squarefree_part,
 )
+
+_CERTIFYING_PRIMES = (2 ** 31 - 1, 2 ** 61 - 1)
+
 
 def _as_matrix_tuple(m):
     return tuple(tuple(int(x) for x in row) for row in m)
@@ -286,19 +288,40 @@ def _one_variable(m):
     )
 
 
+def _squarefree_mod_p(D, p):
+    """D mod p, monic, if it is nonzero and gcd(D mod p, D' mod p) = 1 over
+    F_p (a nonconstant one with derivative 0 is not); else None."""
+    F = PrimeField(p)
+    f = int_poly_to_field(F, D)
+    return pmonic(F, f) if f and pdeg(gcd_over_field(F, f, pderiv(F, f))) == 0 else None
+
+
 @functools.lru_cache(maxsize=256)
 def _squarefree_det(m: Presented):
-    """(D, B) for a square relation matrix R on two or more generators
-    whose determinant D over Z[x] is nonzero and squarefree over Q, with
-    B = Res(D, D') = +-lc(D) disc(D), or B = D for a constant D; None for
-    any other m.  B != 0 iff D is squarefree, as Q has characteristic 0.
-    Cached, as every prime of a table reads it."""
+    """D = det R for a square relation matrix R whose determinant over Z[x]
+    is nonzero and squarefree over Q, else None.  Cached, as every prime of
+    a table reads it.  D is squarefree if _squarefree_mod_p(D, p) is not
+    None at a prime p not dividing lc D: the primitive gcd g of D and D'
+    divides both in Z[x] (Gauss), so lc g divides lc D, and g mod p keeps
+    its degree and divides gcd(D mod p, D' mod p) = 1.  If no prime in
+    _CERTIFYING_PRIMES shows it, the squarefree part over Q decides."""
     rel = m.relations
-    if m.gens < 2 or not rel or len(rel[0]) != m.gens:
+    if not rel or len(rel[0]) != m.gens:
         return None
     D = det_int_poly(rel)
-    bad = resultant(D, pderiv(ZZ, D)) if pdeg(D) >= 1 else sum(D)
-    return (D, bad) if bad else None
+    if len(D) <= 1 or any(D[-1] % p and _squarefree_mod_p(D, p) for p in _CERTIFYING_PRIMES):
+        return tuple(D) or None
+    return tuple(D) if pdeg(squarefree_part(QQ, D)) == pdeg(D) else None
+
+
+@functools.lru_cache(maxsize=256)
+def _routed_factors(m: Presented, p: int):
+    """Invariant factors of R mod p, no Smith form taken (fiber_mod_p):
+    (_squarefree_mod_p(D, p),) for D = _squarefree_det(m), () if that is 1,
+    None if either is None.  Cached for prime_profile: one gcd per prime."""
+    D = _squarefree_det(m)
+    f = None if D is None else _squarefree_mod_p(D, p)
+    return None if f is None else (tuple(f),) if len(f) > 1 else ()
 
 
 def fiber_mod_p(m: ModuleDescriptor, p: int):
@@ -308,15 +331,15 @@ def fiber_mod_p(m: ModuleDescriptor, p: int):
     FiberModule.
 
     A Presented m with a squarefree determinant D (_squarefree_det) has the
-    one invariant factor D mod p, made monic, at every p not dividing B,
-    and none when that is a constant: no Smith form is taken.  There
-    D mod p keeps its degree and is squarefree, and it is det(R mod p),
-    which the invariant factors b_1 | ... | b_n of R mod p multiply to up
-    to a unit.  So b_(n-1)^2 divides b_(n-1) b_n, which divides a
-    squarefree product, and every factor but b_n is a unit: the
-    one-variable twin of prime_profile's cyclic action.  At the finitely
-    many primes dividing B, and for any other Presented m, the F_p[x]
-    Smith form of R is taken.
+    one invariant factor D mod p, made monic, at every p where D mod p is
+    nonzero and gcd(D mod p, D' mod p) = 1 over F_p, and none when D mod p
+    is a constant: no Smith form is taken (_routed_factors).  D mod p, of
+    any degree, is then squarefree and is det(R mod p), which the invariant
+    factors b_1 | ... | b_n of R mod p multiply to up to a unit.  So
+    b_(n-1)^2 divides b_(n-1) b_n, which divides a squarefree product, and
+    every factor but b_n is a unit: the one-variable twin of prime_profile's
+    cyclic action.  At the finitely many other primes, and for any other
+    Presented m, the F_p[x] Smith form of R is taken.
 
     The reduced actions commute mod p, as MatrixAction checked that the
     actions commute modulo torsion.  A kept row r has A[r][s] = 0 mod p for
@@ -330,10 +353,10 @@ def fiber_mod_p(m: ModuleDescriptor, p: int):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(m, Presented):
-        F, det = PrimeField(p), _squarefree_det(m)
-        if det and det[1] % p:
-            D = pmonic(F, int_poly_to_field(F, det[0]))
-            return PresentedFiber(p=p, invariant_factors=(tuple(D),) if len(D) > 1 else (), free_rank=0)
+        routed = _routed_factors(m, p)
+        if routed is not None:
+            return PresentedFiber(p=p, invariant_factors=routed, free_rank=0)
+        F = PrimeField(p)
         rows = [[int_poly_to_field(F, list(e)) for e in row] for row in m.relations]
         snf = smith_normal_form_poly(F, rows, ncols=len(rows[0]) if rows else 0)
         return PresentedFiber(
@@ -536,8 +559,9 @@ class PrimeProfile(Record):
         return mtriv, total - mtriv
 
 
-def _chain_profile(p, factors, free_rank):
-    """Profile of (+)_j F_p[x]/(b_j) (+) F_p[x]^free_rank, b_1 | ... | b_t.
+def _chain_profile(p, factors, free_rank, squarefree=False):
+    """Profile of (+)_j F_p[x]/(b_j) (+) F_p[x]^free_rank, b_1 | ... | b_t;
+    b_t is known squarefree when `squarefree` is true.
 
     Only the degrees of the irreducibles are read, never the irreducibles:
     distinct-degree factorization of rad(b_t) gives G_d, the product of the
@@ -552,7 +576,7 @@ def _chain_profile(p, factors, free_rank):
     t = len(factors)
     entries = []
     if factors:
-        for d, g in distinct_degree_factorization(F, squarefree_part(F, factors[-1])):
+        for d, g in distinct_degree_factorization(F, factors[-1] if squarefree else squarefree_part(F, factors[-1])):
             prev = 0
             for j, b in enumerate(factors, start=1):
                 c = pdeg(g) // d if j == t else pdeg(gcd_over_field(F, g, b)) // d
@@ -588,9 +612,11 @@ def prime_profile(m: ModuleDescriptor, p: int) -> PrimeProfile:
     alone span the fiber and t_p = 0 with no rank taken; every other fiber
     takes the rank of the images of every action.
     """
-    fib = fiber_mod_p(_one_variable(m), p)
+    one = _one_variable(m)
+    fib = fiber_mod_p(one, p)
     if isinstance(fib, PresentedFiber):
-        return _chain_profile(p, [list(b) for b in fib.invariant_factors], fib.free_rank)
+        factors = [list(b) for b in fib.invariant_factors]
+        return _chain_profile(p, factors, fib.free_rank, _routed_factors(one, p) is not None)
     F = PrimeField(p)
     # a 0 x 0 action has min poly 1 of degree 0, yet no simple quotient
     mins = (min_poly_of_matrix(F, a) for a in fib.actions) if fib.dim else ()
@@ -737,13 +763,14 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
     A relation matrix with a squarefree determinant D (_squarefree_det)
     takes no Smith form: by fiber_mod_p's argument over Q, its one
     non-unit factor is D / lc D, with deg D distinct roots, and r0 = 0.
+    One relation f on one generator is the case D = f.
     """
     presented = _one_variable(m)
     if presented is not m:
         return module_invariants(presented)
     det = _squarefree_det(m) if isinstance(m, Presented) else None
     if det:
-        diagonal, sigma, r0 = (tuple(pmonic(QQ, [Fraction(c) for c in det[0]])),), 1, 0
+        diagonal, sigma, r0 = (tuple(pmonic(QQ, [Fraction(c) for c in det])),), 1, 0
     elif isinstance(m, Presented):
         rows = [[[*e] for e in row] for row in m.relations]
         snf, sigma = smith_normal_form_poly(QQ, rows, ncols=len(rows[0]) if rows else 0), 1

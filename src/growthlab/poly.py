@@ -8,12 +8,13 @@ argument.
 
 A field is `PrimeField(p)` or `QQ`, and offers `zero`, `one`, `from_int`,
 `inv` and `reduce`: `reduce` is a % p over F_p and the identity over Q.
-`ZZ` offers `zero`, `one` and the identity `reduce` for the kernels that
-never invert, which `linalg.det_int_poly` runs over Z.  Kernels here and in
-`linalg` take reduced coefficients and return reduced coefficients.  Inside
-one kernel they add and multiply with Python's operators, so over F_p a sum
-of products stays an unreduced int until it is reduced once, as an output
-entry (delayed reduction, as in FFLAS-FFPACK).
+Integer polynomials are packed into one int by Kronecker substitution
+(`kronecker_pack`, `kronecker_unpack`) rather than given a ring of their
+own.  Kernels here and in `linalg` take reduced coefficients and return
+reduced coefficients.  Inside one kernel they add and multiply with
+Python's operators, so over F_p a sum of products stays an unreduced int
+until it is reduced once, as an output entry (delayed reduction, as in
+FFLAS-FFPACK).
 Q and F_p share every kernel except one: arithmetic in F_p[x]/(m) on packed
 ints (`_PackedRing`), which every power modulo a polynomial over F_p takes,
 in ppowmod, in Berlekamp's matrix of distinct_degree_factorization and in the
@@ -22,6 +23,7 @@ trace map of equal-degree splitting at p = 2.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -35,12 +37,12 @@ from .arith import is_prime
 _SPLIT_SEED = 0xC0FFEE
 
 # Largest exponent parse_poly accepts.  A polynomial is a dense coefficient
-# list.  A table takes the squarefree part of each relation over Q once and
-# its distinct-degree factorization over F_p at every prime, at costs that
-# grow about as the cube of the degree: `table --max-n 2` of a random
-# relation of degree d (coefficients in {-1, 0, 1}) took 0.17 s at d = 128,
-# 0.86 s at d = 256 and 12.3 s at d = 512, most of it the squarefree part
-# over Q (Python 3.11, 2-vCPU x86-64 VM).
+# list.  A table takes the distinct-degree factorization of each relation
+# over F_p at every prime, at costs that grow about as the cube of the
+# degree, and of a relation with a repeated factor the squarefree part over
+# Q too: `table --max-n 2` of a random squarefree relation of degree d
+# (coefficients in {-1, 0, 1}) took 0.13-0.18 s at d = 128, 0.48-0.55 s at
+# d = 256 and 1.4-2.1 s at d = 512 (Python 3.11, 2-vCPU x86-64 VM).
 MAX_EXPONENT = 512
 
 
@@ -103,21 +105,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-class IntegerRing:
-    """Z, for the kernels that never invert: `padd`, `psub`, `pmul`,
-    `pscale` and `pderiv` on int coefficients."""
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def reduce(a):
-        return a
-
-
-ZZ = IntegerRing()
 
 
 # -- basic arithmetic ---------------------------------------------------------
@@ -200,6 +187,25 @@ def pderiv(F, a):
     return pnormalize([F.reduce(i * a[i]) for i in range(1, len(a))])
 
 
+def kronecker_pack(a, w):
+    """a(2^w) for integer coefficients a: coefficient i is added at bit i w."""
+    v = 0
+    for c in reversed(a):
+        v = (v << w) + c
+    return v
+
+
+def kronecker_unpack(v, w):
+    """The integer polynomial a with a(2^w) = v and every |coefficient| below
+    2^(w-1): the balanced base-2^w digits of v, which are unique."""
+    out, half, mask = [], 1 << (w - 1), (1 << w) - 1
+    while v:
+        c = ((v + half) & mask) - half
+        out.append(c)
+        v = (v - c) >> w
+    return out
+
+
 class _PackedRing:
     """F_p[x]/(m) on packed ints (Kronecker substitution), n = deg m.
 
@@ -228,10 +234,7 @@ class _PackedRing:
         self.tail = self.pack([-c * lc_inv % p for c in m[:-1]])
 
     def pack(self, a):
-        v = 0
-        for c in reversed(a):
-            v = (v << self.w) | c
-        return v
+        return kronecker_pack(a, self.w)
 
     def unpack(self, v):
         w, mask = self.w, (1 << self.w) - 1
@@ -291,63 +294,24 @@ def _primitive_part(f):
     return [c // g for c in f]
 
 
-def _prem(a, b):
-    """The pseudo-remainder of a by b over Z: lc(b)^(deg a - deg b + 1) a
-    minus a multiple of b, of degree < deg b."""
-    r = list(a)
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1]
-        r = [x * b[-1] for x in r]
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-    return pnormalize(r)
-
-
+@functools.lru_cache(maxsize=256)
 def _gcd_over_z(a, b):
-    """Primitive gcd of nonzero integer polynomials by the primitive PRS
-    (Collins 1967): each pseudo-remainder is reduced to its primitive part,
-    so the coefficients stay small and no division leaves Z.  By Gauss's
-    lemma it is the gcd over Q up to a unit."""
+    """Primitive gcd of nonzero integer tuples by the primitive PRS (Collins
+    1967): each pseudo-remainder of a by b, lc(b)^(deg a - deg b + 1) a
+    minus a multiple of b, is cut to its primitive part, so no division
+    leaves Z and by Gauss's lemma it is the gcd over Q up to a unit.
+    Cached, as a determinant with a repeated factor is read again."""
     a, b = _primitive_part(a), _primitive_part(b)
     while pdeg(b) >= 1:
-        r = _prem(a, b)
-        a, b = b, _primitive_part(r) if r else []
-    return a if not b else [1]
-
-
-def pexquo(a, b):
-    """a / b over Z, for a nonzero b that divides a."""
-    a, db = list(a), len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = a[k + db] // b[-1]
-        if c:
+        r = list(a)
+        for k in range(len(a) - len(b), -1, -1):
+            c = r[k + len(b) - 1]
+            r = [x * b[-1] for x in r]
             for i, y in enumerate(b):
-                a[k + i] -= c * y
-    return q
-
-
-def resultant(a, b):
-    """Res(a, b) of nonzero integer polynomials, not both constant, by the
-    subresultant PRS (Collins 1967; Brown and Traub 1971), as in Cohen's
-    *A Course in Computational Algebraic Number Theory*, Algorithm 3.3.7.
-    Every division is exact, and the coefficients stay the size of minors
-    of the Sylvester matrix.  Res(f, f') = +-lc(f) disc(f), so p divides
-    it iff f mod p loses degree or has a repeated factor."""
-    ca, cb = math.gcd(*a), math.gcd(*b)
-    a, b = [c // ca for c in a], [c // cb for c in b]
-    out = ca ** pdeg(b) * cb ** pdeg(a)
-    if len(a) < len(b):
-        a, b = b, a
-        out *= (-1) ** (pdeg(a) * pdeg(b))
-    g = h = 1
-    while pdeg(b) > 0:
-        delta = pdeg(a) - pdeg(b)
-        out *= (-1) ** (pdeg(a) * pdeg(b))
-        a, b = b, [c // (g * h ** delta) for c in _prem(a, b)]
-        g = a[-1]
-        h = g ** delta // h ** (delta - 1) if delta else h
-    return out * (b[-1] ** pdeg(a) // h ** (pdeg(a) - 1)) if b else 0
+                r[k + i] -= c * y
+        r = pnormalize(r)
+        a, b = b, _primitive_part(r) if r else []
+    return tuple(a) if not b else (1,)
 
 
 # -- squarefree parts and root counts -----------------------------------------
@@ -370,10 +334,11 @@ def squarefree_part(F, f):
             acc = pmul(F, acc, part)
         return pmonic(F, acc)
     # Euclid in Fraction arithmetic blows up on a relation of degree 128, so
-    # gcd(f, f') is taken over Z, of f with its denominators cleared
-    scale = math.lcm(*(Fraction(c).denominator for c in f))
+    # gcd(f, f') is taken over Z, of monic f with its denominators cleared
+    f = pmonic(F, f)
+    scale = math.lcm(*(c.denominator for c in f))
     fz = [int(c * scale) for c in f]
-    g = _gcd_over_z(fz, [i * c for i, c in enumerate(fz)][1:])
+    g = _gcd_over_z(tuple(fz), tuple(i * c for i, c in enumerate(fz))[1:])
     return pmonic(F, pdivmod(F, f, g)[0])
 
 

@@ -22,7 +22,7 @@ from growthlab.linalg import (
     solve,
     x_minus_matrix,
 )
-from growthlab.poly import QQ, ZZ, PrimeField, gcd_over_field, int_poly_to_field, padd, pmod, pmul, pnormalize, psub
+from growthlab.poly import QQ, PrimeField, gcd_over_field, int_poly_to_field, padd, pmod, pmul, pnormalize, psub
 
 
 def test_rank_kernel_image_examples():
@@ -211,7 +211,43 @@ def test_det_int_poly_matches_laplace():
             for _ in range(n)
         ]
         A = [[pnormalize(e) for e in row] for row in A]
-        assert det_int_poly(A) == _poly_det(ZZ, A), A
+        assert det_int_poly(A) == _poly_det(QQ, A), A
+
+
+def test_packed_determinant_meets_its_coefficient_bound():
+    # det_int_poly packs each entry at x = 2^b, b from Hadamard's bound on
+    # D's coefficients.  A Hadamard sign pattern of monomials c_i x^(a_i + e_j)
+    # meets that bound, so a width one bit short reads a wrong digit; the
+    # other kinds give large and negative coefficients, degree-16 entries,
+    # a zero row (D = 0) and a triangular matrix with a constant D
+    rng = random.Random(26)
+    hadamard = {1: [[1]], 2: [[1, 1], [1, -1]]}
+    hadamard[4] = [r + r for r in hadamard[2]] + [r + [-x for x in r] for r in hadamard[2]]
+    kinds = ["hadamard", "large", "degree 16", "zero row", "constant"]
+    seen = dict.fromkeys(kinds + ["D = 0", "constant D", "negative lc"], 0)
+    for i in range(500):
+        kind = kinds[i % len(kinds)]
+        n = rng.choice((1, 2, 4)) if kind == "hadamard" else rng.randint(1, 3 if kind == "degree 16" else 5)
+        high = {"large": 10 ** 30, "degree 16": 5}.get(kind, 3)
+        A = [
+            [[rng.randint(-high, high) for _ in range(rng.randint(0, 17 if kind == "degree 16" else 3))] for _ in range(n)]
+            for _ in range(n)
+        ]
+        if kind == "hadamard":
+            scale, shift = [rng.choice((1, -1)) * rng.randint(1, 10 ** 6) for _ in range(n)], [rng.randint(0, 3) for _ in range(n)]
+            A = [[[0] * (shift[r] + shift[c]) + [hadamard[n][r][c] * scale[r]] for c in range(n)] for r in range(n)]
+        elif kind == "zero row":
+            A[rng.randrange(n)] = [[] for _ in range(n)]
+        elif kind == "constant":
+            A = [[[rng.choice((-3, -1, 1, 2))] if r == c else (A[r][c] if c > r else []) for c in range(n)] for r in range(n)]
+        A = [[pnormalize(e) for e in row] for row in A]
+        D = det_int_poly(A)
+        assert D == _poly_det(QQ, A), A
+        seen[kind] += 1
+        seen["D = 0"] += not D
+        seen["constant D"] += len(D) == 1
+        seen["negative lc"] += bool(D) and D[-1] < 0
+    assert min(seen.values()) >= 20, seen
 
 
 def test_det_int_poly_of_a_diagonal_scales_no_row():

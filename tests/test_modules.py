@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from growthlab import modules
+from growthlab import modules, poly
 from growthlab.arith import PrimePowerIndex, is_prime
 from growthlab.linalg import det_int_poly, rank, smith_normal_form_poly
 from growthlab.modules import (
@@ -975,11 +975,12 @@ def _square_presentation(rng, kind):
 
 def test_determinant_route_matches_the_smith_forms():
     # fiber_mod_p and module_invariants against the Smith forms of the same
-    # relation matrix, at every p <= 200 and at five 61-bit primes
+    # relation matrix, at every p <= 200 and at five 61-bit primes; a prime
+    # dividing lc D is routed too when D mod p is squarefree
     primes = [p for p in range(2, 201) if is_prime(p)]
     primes += [q for q in range(2 ** 61 - 1, 2 ** 61 - 2000, -2) if is_prime(q)][:5]
     rng = random.Random(25)
-    seen = dict.fromkeys(["routed", "unit fiber", "p | lc D", "D = 0", "repeated factor", "torsion"], 0)
+    seen = dict.fromkeys(["routed", "unit fiber", "p | lc D", "routed, p | lc D", "D = 0", "repeated factor", "torsion"], 0)
     for i in range(420):
         m = _square_presentation(rng, ["random", "constant", "zero", "doubled", "leading", "action"][i % 6])
         presented = modules._one_variable(m)
@@ -993,10 +994,11 @@ def test_determinant_route_matches_the_smith_forms():
         for p in primes:
             fib = fiber_mod_p(presented, p)
             assert fib == _smith_fiber(presented, p), (m, p)
-            if det and det[1] % p:
+            if modules._routed_factors(presented, p) is not None:
                 seen["routed"] += 1
                 seen["unit fiber"] += not fib.invariant_factors
-            seen["p | lc D"] += bool(det) and det[0][-1] % p == 0
+                seen["routed, p | lc D"] += det[-1] % p == 0
+            seen["p | lc D"] += bool(det) and det[-1] % p == 0
         inv = module_invariants(m)
         assert (inv.a, inv.r0, inv.rho, inv.t) == _smith_invariants(presented), m
     assert min(seen.values()) >= 20, seen
@@ -1013,3 +1015,79 @@ def test_dense_presented_invariants_take_no_qx_smith_form():
     inv = module_invariants(m)
     assert time.perf_counter() - start < 1.0
     assert inv.d == 1 and inv.rho == (32,)
+
+
+def test_dense_determinants_take_milliseconds():
+    # one packed integer determinant and one gcd at a certifying prime: the
+    # counts of a dense 32 x 32 action and the invariants of an 8 x 8
+    # relation matrix with degree-16 entries (the recipe above) each take
+    # tens of milliseconds
+    rng = random.Random(32)
+    m = _ma(32, [[[rng.randint(-3, 3) for _ in range(32)] for _ in range(32)]])
+    start = time.perf_counter()
+    assert [count_max_submodules(m, n) for n in (2, 3, 4, 5)] == [1, 1, 0, 1]
+    assert time.perf_counter() - start < 0.3
+    rng = random.Random(1)
+    R = [[[rng.choice((0, 2, 4, 6)) for _ in range(16)] + [rng.choice((2, 4, 6))] for _ in range(8)] for _ in range(8)]
+    m = Presented(gens=8, relations=tuple(tuple(map(tuple, row)) for row in R))
+    start = time.perf_counter()
+    inv = module_invariants(m)
+    assert time.perf_counter() - start < 0.3
+    assert inv.d == 1 and inv.rho == (128,)
+
+
+def test_determinant_route_takes_one_gcd_per_prime(monkeypatch):
+    # fiber_mod_p tests gcd(D mod p, D' mod p) = 1, and the profile reads the
+    # certified factor as squarefree: one derivative and no squarefree part
+    # at a routed prime.  At p = 3, x^9 - 1 = (x - 1)^9 takes the Smith form
+    P = [[int(r == (c + 1) % 9) for c in range(9)] for r in range(9)]
+    m = _ma(9, [P])
+    assert modules._squarefree_det(modules._one_variable(m)) == (-1,) + (0,) * 8 + (1,)
+    calls = _count_calls(monkeypatch, "pderiv", "squarefree_part")
+    for p, routed in ((2, True), (3, False), (19, True), (2 ** 61 - 1, True)):
+        prime_profile.cache_clear()
+        modules._routed_factors.cache_clear()
+        calls.update(pderiv=0, squarefree_part=0)
+        prime_profile(m, p)
+        assert calls == {"pderiv": 1, "squarefree_part": 0 if routed else 1}, p
+
+
+def test_squarefree_determinant_falls_back_to_q(monkeypatch):
+    # M is the product of the certifying primes.  (x - M) x (x - 1) is
+    # squarefree over Q, yet x - M = x modulo each of them, and each divides
+    # the leading coefficient of M x (x - 1): only the exact squarefree part
+    # over Q certifies them.  It refuses (x - M) (x - 1)^2
+    M = math.prod(modules._CERTIFYING_PRIMES)
+    cases = [
+        (pmul(QQ, [-M, 1], [0, -1, 1]), True),
+        ([0, -M, M], True),
+        (pmul(QQ, [-M, 1], [1, -2, 1]), False),
+    ]
+    primes = [2, 3, 5, 7, *modules._CERTIFYING_PRIMES]
+    for D, squarefree in cases:
+        D = tuple(int(c) for c in D)
+        m = Presented(gens=1, relations=((D,),))
+        modules._squarefree_det.cache_clear()
+        calls = _count_calls(monkeypatch, "squarefree_part")
+        assert modules._squarefree_det(m) == (D if squarefree else None)
+        assert calls == {"squarefree_part": 1}
+        monkeypatch.undo()
+        for p in primes:
+            assert fiber_mod_p(m, p) == _smith_fiber(m, p), (D, p)
+        inv = module_invariants(m)
+        assert (inv.a, inv.r0, inv.rho, inv.t) == _smith_invariants(m), D
+
+
+def test_one_relation_of_degree_128_takes_no_primitive_prs(monkeypatch):
+    # one relation f on one generator has D = f; a certifying prime shows it
+    # squarefree, so its invariants take no gcd over Z
+    rng = random.Random(5)
+    f = [rng.randint(-1, 1) for _ in range(128)] + [1]
+    m = Presented(gens=1, relations=((tuple(f),),))
+
+    def refuse(*args):
+        raise AssertionError("primitive PRS taken")
+
+    monkeypatch.setattr(poly, "_gcd_over_z", refuse)
+    inv = module_invariants(m)
+    assert inv.d == 1 and inv.rho == (128,) and inv.r0 == 0

@@ -1,4 +1,3 @@
-import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthlab import poly
-from growthlab.linalg import _bareiss
 from growthlab.poly import (
     MAX_EXPONENT,
     QQ,
-    ZZ,
     PrimeField,
     count_irreducibles,
     distinct_complex_root_count,
@@ -33,7 +30,6 @@ from growthlab.poly import (
     poly_to_str,
     ppowmod,
     psub,
-    resultant,
     squarefree_part,
 )
 
@@ -431,27 +427,3 @@ def test_kernel_edge_cases(F):
     assert peval(F, [], c) == F.zero
     with pytest.raises(ZeroDivisionError):
         pdivmod(F, a, [])
-
-
-def _sylvester_resultant(a, b):
-    """det of the Sylvester matrix of a and b, by the one fraction-free
-    elimination handed the operations of Z."""
-    m, n = pdeg(a), pdeg(b)
-    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
-    return _bareiss(rows, abs, operator.sub, operator.mul, operator.floordiv, operator.neg)
-
-
-def test_resultant_matches_the_sylvester_determinant():
-    # contents > 1, shared factors (resultant 0), equal degrees and a
-    # constant argument
-    rng = random.Random(25)
-    for _ in range(1500):
-        a, b = ([rng.randint(-4, 4) for _ in range(rng.randint(1, 7))] + [rng.choice((1, -2, 3))] for _ in range(2))
-        if rng.random() < 0.3:
-            c = [rng.randint(-3, 3), rng.choice((1, 2, -3))]
-            a, b = pmul(ZZ, a, c), pmul(ZZ, b, c)
-        if rng.random() < 0.2:
-            a = [rng.choice((2, 6)) * x for x in a]
-        assert resultant(a, b) == _sylvester_resultant(a, b), (a, b)
-    assert resultant([-1, 0, 1], [0, 2]) == -4 and resultant([5, 1], [3]) == 3
