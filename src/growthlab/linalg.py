@@ -216,15 +216,16 @@ def _smith(A, ncols, size, divmod_, sub, mul, normal, gcd):
     r = 0 or size(r) < size(b), sub, mul, normal(a) the associate of a to
     report, gcd(a, b) normal.
 
-    Each pass swaps an entry of least size in the trailing block to the
-    pivot p and clears p's column by row quotient steps and p's row by
-    column ones; a remainder left is smaller than p, so pivots shrink
-    until a pass leaves none.  These steps are unimodular, so for every k the diagonal keeps
-    A's gcd of k x k minors.  So does replacing a pair d_i, d_j (i < j)
-    with d_i not dividing d_j by (gcd, lcm): a k-subset holding one of
-    them and a product X of others gives d_i X and d_j X, whose gcd is
-    that of gcd X and lcm X.  After the sweep each d_i divides every later
-    d_j, and a chain with those gcds of minors is the Smith form.
+    Each pass swaps the first entry of least size in the trailing block,
+    read by rows up to one of size 1 (least in Z and in F[x]), to the pivot
+    p and clears p's column by row quotient steps and p's row by column
+    ones; a remainder left is smaller than p, so pivots shrink until a pass
+    leaves none.  These steps are unimodular, so for every k the diagonal
+    keeps A's gcd of k x k minors.  So does replacing d_i, d_j (i < j),
+    d_i not dividing d_j (so unequal), by (gcd, lcm): a k-subset holding
+    one of them and a product X of others gives d_i X and d_j X, whose gcd
+    is that of gcd X and lcm X.  After the sweep each d_i divides every
+    later d_j, and a chain with those gcds of minors is the Smith form.
     """
     m, n = _shape(A, ncols)
     diag = []
@@ -236,6 +237,8 @@ def _smith(A, ncols, size, divmod_, sub, mul, normal, gcd):
                 a = A[i][j]
                 if a and (best is None or size(a) < best[0]):
                     best = size(a), i, j
+            if best and best[0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -262,7 +265,7 @@ def _smith(A, ncols, size, divmod_, sub, mul, normal, gcd):
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             a, b = diag[i], diag[j]
-            if divmod_(b, a)[1]:
+            if a != b and divmod_(b, a)[1]:
                 g = gcd(a, b)
                 diag[i], diag[j] = g, normal(mul(divmod_(a, g)[0], b))
     return diag

@@ -10,19 +10,13 @@ the ideals with residue field of the right size q = p^k.  The per-prime data
 is one PrimeProfile, which every count at the powers of p is read from.
 
 In one variable the module is Presented: a MatrixAction with one action A on
-Z^k (+) (+)_j Z/t_j is coker [xI - A | t_j e_(k+j)] over Z[x], and is
-counted, classified and read in characteristic 0 as that presentation.  Its
-fiber is an F_p[x]-module, and the profile is read off its F_p[x] invariant
-factors.  A square relation matrix whose determinant D in Z[x] is squarefree
-over Q takes no Smith form: its one non-unit factor is D mod p at every
-prime where D mod p is nonzero and prime to its derivative, and D / lc D
-over Q (fiber_mod_p argues why); any other presentation, and the other
-primes, take the Smith form.  With two or more actions, a fiber on which
-some action A is cyclic (deg of its min poly mu = dim) is F_p[x]/(mu) and is
-read the same way; any other fiber is split by joint_spectrum into primary
-components of the commuting algebra.
-module_invariants reads the generic fiber in characteristic 0 off one
-operator that generates the actions' algebra on the top.
+Z^k (+) (+)_j Z/t_j is coker [xI - A | t_j e_(k+j)] over Z[x], read off the
+F_p[x] and Q[x] invariant factors of that presentation, with no Smith form
+where a squarefree determinant gives them (fiber_mod_p).  With two or more
+actions both characteristics take one rule, _generator: the first candidate
+c that generates the actions' algebra makes the fiber at p, or the top in
+characteristic 0, the module coker(xI - c) in one variable.  A fiber with no
+such candidate is split by joint_spectrum into primary components.
 """
 
 from __future__ import annotations
@@ -42,6 +36,7 @@ from .linalg import (
     mat_mul,
     mat_pow,
     min_poly_of_matrix,
+    min_poly_of_vector,
     poly_of_matrix,
     rank,
     row_space_basis,
@@ -337,8 +332,8 @@ def fiber_mod_p(m: ModuleDescriptor, p: int):
     any degree, is then squarefree and is det(R mod p), which the invariant
     factors b_1 | ... | b_n of R mod p multiply to up to a unit.  So
     b_(n-1)^2 divides b_(n-1) b_n, which divides a squarefree product, and
-    every factor but b_n is a unit: the one-variable twin of prime_profile's
-    cyclic action.  At the finitely many other primes, and for any other
+    every factor but b_n is a unit: the one-variable twin of a cyclic c in
+    _generator.  At the finitely many other primes, and for any other
     Presented m, the F_p[x] Smith form of R is taken.
 
     The reduced actions commute mod p, as MatrixAction checked that the
@@ -510,8 +505,8 @@ def joint_spectrum(fiber: FiberModule) -> tuple[SpectrumEntry, ...]:
 
     Each entry (e, s) contributes (q^s - 1)/(q - 1) maximal submodules of
     index q = p^e.  prime_profile calls it only for two or more actions
-    none of which is cyclic mod p; elsewhere it is the reference that the
-    F_p[x] invariant-factor profile is tested against.
+    that no candidate of _generator generates mod p; elsewhere it is the
+    reference that the F_p[x] invariant-factor profile is tested against.
     """
     F = PrimeField(fiber.p)
     mats = [list(map(list, a)) for a in fiber.actions]
@@ -590,27 +585,73 @@ def _chain_profile(p, factors, free_rank, squarefree=False):
     )
 
 
+# Over F_p the moment curve stops at j < min(p, _MOMENT_POINTS): 269 of 9541 seeded
+# (module, p) fibers then have no generator (200 at j < 8), and the 430 profiles of
+# I + E_12, I + E_13 below 3000 took 0.34-0.38 s (0.46-0.47 s at j < 8) on a 2-vCPU x86-64 VM.
+_MOMENT_POINTS = 3
+
+
+def _generator(F, mats, dim):
+    """(b, sigma) for the first candidate c = sum_i lambda_i A_i that
+    generates the algebra R of the commuting `mats` over F = Q or F_p, else
+    None: b the non-unit invariant factors of xI - c, sigma = sum_i lambda_i
+    the value of c where every A_i is 1.  Then R = F[c], its submodules are
+    the c-invariant subspaces, and F^dim is coker(xI - c) over F[x].
+
+    c generates iff the flattened I, c, ..., c^(e-1), A_1, ..., A_l have
+    rank e = deg mu_c = dim F[c], so only if I, c, ..., c^(f-1) are
+    independent, f the rank of I and the A_i: else no Smith form is taken.
+    If e = dim, c is nonderogatory and its centralizer is F[c] (Horn &
+    Johnson, Matrix Analysis): no rank is taken, nor a Smith form if the
+    Krylov sequence of e_1 reaches degree dim.  The candidates are each A_i
+    (sigma = 1), then lambda_i = j^i, j = 1, 2, ..., over F_p j < min(p,
+    _MOMENT_POINTS): no c = aI + ... generates for I + E_12, I + E_13, as
+    (c - a)^2 = 0.  Over Q, R is a product of number fields on the top of
+    _generic_operator, and c fails iff it takes one value at two of the dim R
+    points of Spec(R (x) C): a hyperplane of lambda, as the A_i generate R,
+    met at most l - 1 times by the moment curve (sum_i a_i j^i is j times a
+    polynomial of degree l - 1), so the loop ends.
+    """
+    js = range(1, min(F.p, _MOMENT_POINTS)) if isinstance(F, PrimeField) else itertools.count(1)
+    lams = ([j ** i for i in range(1, len(mats) + 1)] for j in js)
+    moment = (([[F.reduce(sum(x * M[r][s] for x, M in zip(lam, mats))) for s in range(dim)] for r in range(dim)], sum(lam)) for lam in lams)
+    flats = [_flat(M) for M in [identity_matrix(F, dim), *mats]]
+    floor = None
+    for c, sigma in itertools.chain(((M, 1) for M in mats), moment):
+        mu = min_poly_of_vector(F, c, [F.from_int(i == 0) for i in range(dim)])
+        if pdeg(mu) == dim:
+            return [mu] if dim else [], sigma
+        floor = floor or rank(F, flats, dim * dim)
+        powers = itertools.chain(flats[:1], map(_flat, itertools.accumulate(itertools.repeat(c), functools.partial(mat_mul, F), initial=c)))
+        head = list(itertools.islice(powers, floor))
+        if rank(F, head, dim * dim) < floor:
+            continue
+        b = [list(d) for d in smith_normal_form_poly(F, x_minus_matrix(F, c), ncols=dim).diagonal if pdeg(d) >= 1]
+        e = pdeg(b[-1])
+        if e == dim or rank(F, [*head, *itertools.islice(powers, e - floor), *flats], dim * dim) == e:
+            return b, sigma
+    return None
+
+
+def _flat(M):
+    return [x for row in M for x in row]
+
+
 @functools.lru_cache(maxsize=256)
 def prime_profile(m: ModuleDescriptor, p: int) -> PrimeProfile:
     """The per-prime data of m at p, from one reduction of the fiber: its
-    F_p[x] invariant factors in one variable, else one action's min poly or
-    joint_spectrum.
+    F_p[x] invariant factors in one variable, else the invariant factors b
+    of the c that _generator finds, else joint_spectrum.
 
     Cached, so the counts and splits at p, p^2, ... of one module, its table
     rows and the growth type's free-rank jumps all read one profile per
     (m, p): the key is an immutable, hashable descriptor, and the profile an
     immutable record of tuples, so no caller can change what another gets.
 
-    If some action A has a min poly mu of degree dim over F_p, A is
-    nonderogatory, and its centralizer is F_p[A] (Horn & Johnson, Matrix
-    Analysis, on nonderogatory matrices).  Every other action commutes with
-    A, so is a polynomial in A, and the fiber is F_p[x]/(mu) with x acting
-    as A: its simple quotients are those of the one-variable chain [mu].
-    Any other fiber goes to joint_spectrum.  t_p is the dimension of the
-    fiber modulo the images of every A - I.  When the cyclic A has
-    mu(1) != 0, 1 is no eigenvalue of A, so A - I is invertible, its images
-    alone span the fiber and t_p = 0 with no rank taken; every other fiber
-    takes the rank of the images of every action.
+    With R = F_p[c] the simple quotients are those of b.  t_p, the fiber's
+    dimension modulo the images of every A_i - I, is read from them, but is
+    0 with no rank taken if no b_j vanishes at sigma: if t_p > 0, some map
+    R -> F_p sends every A_i to 1, c to sigma, and 0 = mu_c(c) to mu_c(sigma).
     """
     one = _one_variable(m)
     fib = fiber_mod_p(one, p)
@@ -618,24 +659,13 @@ def prime_profile(m: ModuleDescriptor, p: int) -> PrimeProfile:
         factors = [list(b) for b in fib.invariant_factors]
         return _chain_profile(p, factors, fib.free_rank, _routed_factors(one, p) is not None)
     F = PrimeField(p)
-    # a 0 x 0 action has min poly 1 of degree 0, yet no simple quotient
-    mins = (min_poly_of_matrix(F, a) for a in fib.actions) if fib.dim else ()
-    cyclic = next((mu for mu in mins if pdeg(mu) == fib.dim), None)
-    if cyclic is not None and peval(F, cyclic, F.one):
-        trivial_rank = 0
-    else:
-        images = [
-            [(a[r][c] - (r == c)) % p for r in range(fib.dim)]
-            for a in fib.actions
-            for c in range(fib.dim)
-        ]
+    generated = _generator(F, fib.actions, fib.dim)
+    trivial_rank = 0
+    if generated is None or not all(peval(F, b, generated[1]) for b in generated[0]):
+        images = [[(a[r][c] - (r == c)) % p for r in range(fib.dim)] for a in fib.actions for c in range(fib.dim)]
         trivial_rank = fib.dim - rank(F, images, fib.dim)
-    return PrimeProfile(
-        p=p,
-        entries=joint_spectrum(fib) if cyclic is None else _chain_profile(p, [cyclic], 0).entries,
-        generic_rank=0,
-        trivial_rank=trivial_rank,
-    )
+    entries = joint_spectrum(fib) if generated is None else _chain_profile(p, generated[0], 0).entries
+    return PrimeProfile(p=p, entries=entries, generic_rank=0, trivial_rank=trivial_rank)
 
 
 # -- counting ------------------------------------------------------------------
@@ -693,9 +723,8 @@ def split_triv_nontriv(m: ModuleDescriptor, n: int) -> tuple[int, int]:
 
 
 def _generic_operator(blocks, k):
-    """(c, sigma): c = sum_i lambda_i A_i acting on the top W of Q^k under
-    the commuting A_i and generating the algebra S they induce there;
-    sigma = sum_i lambda_i is its value on the trivial quotient.
+    """_generator's (b, sigma) for the algebra S that the commuting A_i
+    induce on the top W of Q^k, sigma the value of c on the trivial quotient.
 
     W = Q^k / sum_i im r_i(A_i), r_i the squarefree part of A_i's min poly.
     The r_i(A_i) are nilpotent and, in characteristic 0, generate the
@@ -706,20 +735,9 @@ def _generic_operator(blocks, k):
     kernel of the r_i(A_i)^T, where the A_i^T act with the same invariant
     factors.  An r_i(A_i) with r_i the min poly itself is 0 and is not
     built; when all are, W = Q^k, its dual basis is the standard one, and
-    each A_i^T is its own restriction.
-
-    The candidates are each A_i, with lambda = e_i and sigma = 1, then
-    lambda_i = j^i for j = 1, 2, ...; the first c that every A_i is a
-    polynomial in is taken, as then Q[c] = S.  With e = deg minpoly(c),
-    that is rank e for the flattened I, c, ..., c^(e-1), A_1, ..., A_l; it
-    holds with no rank taken when e = dim W, as e = dim Q[c] <= dim S <=
-    dim W.  A lambda fails iff c takes one value at two of the dim S points
-    of Spec(S (x) C).  Each such pair is a nonzero linear condition on
-    lambda, as the A_i generate S: a hyperplane, which the moment curve
-    lambda_i = j^i meets at most l - 1 times with j >= 1 (sum_i a_i j^i is
-    j times a polynomial of degree l - 1).  So the loop ends.  Then
-    S = prod_j Q[x]/(h_j), the h_j distinct irreducibles, and c has
-    invariant factors b_i = prod {h_j : s_j > d - i}, i = 1..d, d = max s_j.
+    each A_i^T is its own restriction.  With S = Q[c] = prod_j Q[x]/(h_j),
+    the h_j distinct irreducibles, c has invariant factors
+    b_i = prod {h_j : s_j > d - i}, i = 1..d, d = max s_j.
     """
     rows = []
     for A in blocks:
@@ -731,17 +749,7 @@ def _generic_operator(blocks, k):
     dual = kernel_basis(QQ, rows, k)
     transposes = [[list(col) for col in zip(*A)] for A in blocks]
     mats = transposes if len(dual) == k else [_restrict(QQ, At, dual, k) for At in transposes]
-    w, ell = len(dual), len(mats)
-    candidates = itertools.chain(
-        ([int(i == j) for i in range(ell)] for j in range(ell)),
-        ([j ** i for i in range(1, ell + 1)] for j in itertools.count(1)),
-    )
-    for lam in candidates:
-        c = [[sum(x * M[r][s] for x, M in zip(lam, mats)) for s in range(w)] for r in range(w)]
-        e = pdeg(min_poly_of_matrix(QQ, c))
-        powers = itertools.accumulate([c] * (e - 1), functools.partial(mat_mul, QQ), initial=identity_matrix(QQ, w))
-        if e == w or rank(QQ, [[x for row in P for x in row] for P in [*powers, *mats]], w * w) == e:
-            return c, sum(lam)
+    return _generator(QQ, mats, len(dual))
 
 
 @functools.lru_cache(maxsize=None)
@@ -750,13 +758,13 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
     factors b_1 | ... | b_s of one operator on its top, plus r0 free summands.
 
     A module in one variable takes its relation matrix, r0 its free rank.
-    A MatrixAction with two or more actions takes xI - A on its free part, A
-    their _generic_operator.  A monic irreducible h has multiplicity
-    r0 + #{i : h | b_i}, largest for h | b_1, so d = r0 + s.  The b_i that
-    are not a power of x - sigma, sigma the trivial eigenvalue, are those
-    divisible by a nontrivial h: d_nt, or d when t = 0.  t is the dimension
-    over Q modulo x - 1, r0 + #{i : b_i(1) = 0}, or modulo the images of
-    every A_i - I.  Cached:
+    A MatrixAction with two or more actions takes xI - c, c from
+    _generic_operator on the top of its free part.  A monic irreducible h
+    has multiplicity r0 + #{i : h | b_i}, largest for h | b_1, so
+    d = r0 + s.  The b_i that are not a power of x - sigma, sigma the
+    trivial eigenvalue, are those divisible by a nontrivial h: d_nt, or d
+    when t = 0.  t is the dimension over Q modulo x - 1,
+    r0 + #{i : b_i(1) = 0}, or modulo the images of every A_i - I.  Cached:
     mdeg, asymptotic_leading and the growth type all read it, keyed on the
     presentation in one variable.
 
@@ -779,9 +787,8 @@ def module_invariants(m: ModuleDescriptor) -> ModuleInvariants:
         k, blocks, r0 = m.k, m.free_blocks(), None
         images = [[blk[r][c] - (r == c) for r in range(k)] for blk in blocks for c in range(k)]
         t = k - rank(QQ, images, k)
-        op, sigma = (blocks[0], 1) if k == 0 else _generic_operator(blocks, k)
-        diagonal = smith_normal_form_poly(QQ, x_minus_matrix(QQ, op), ncols=len(op)).diagonal
-    a = tuple(b for b in diagonal if pdeg(b) >= 1)
+        diagonal, sigma = ((), 1) if k == 0 else _generic_operator(blocks, k)
+    a = tuple(tuple(b) for b in diagonal if pdeg(b) >= 1)
     if isinstance(m, Presented):
         t = r0 + sum(1 for b in a if peval(QQ, b, 1) == 0)
     rho = tuple(pdeg(b) if det else distinct_complex_root_count(list(b)) for b in a)

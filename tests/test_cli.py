@@ -804,12 +804,14 @@ def test_valid_two_action_specs_yield_mdeg_and_table(doc):
 
 def test_broken_frobenius_invariant_is_raised_not_mapped(tmp_path, monkeypatch):
     # a broken internal invariant is a bug in growthlab, not in the spec: it
-    # leaves main as a RuntimeError rather than exit 2 or 3
-    identity = [[1, 0], [0, 1]]
+    # leaves main as a RuntimeError rather than exit 2 or 3.  No candidate
+    # generates the algebra of I + E_12 and I + E_13, so joint_spectrum runs
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    unipotents = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 0], [0, 0, 1]]]
     monkeypatch.setattr(modules, "_frobenius_fixed_space", lambda F, alg, dim: [identity, identity])
     modules.joint_spectrum.cache_clear()
     modules.prime_profile.cache_clear()
-    spec = _spec(tmp_path, {"type": "module_matrix", "actions": [identity, identity]})
+    spec = _spec(tmp_path, {"type": "module_matrix", "actions": unipotents})
     with pytest.raises(RuntimeError, match="no fixed element splits"):
         main(["table", spec, "--max-n", "5"])
 

@@ -2,9 +2,9 @@
 private top-level function that nothing in the package calls, every
 function the benchmark hooks into still exists, no reader expands a
 group descriptor, only fiber_mod_p builds a FiberModule, only the
-Frobenius certificate closes an algebra basis, one elimination serves
-every Smith form, and the CLI imports no module it does not need at
-start-up."""
+Frobenius certificate closes an algebra basis, one candidate loop serves
+both characteristics, one elimination serves every Smith form, and the CLI
+imports no module it does not need at start-up."""
 
 import ast
 import functools
@@ -126,6 +126,28 @@ def test_only_the_frobenius_certificate_closes_an_algebra():
         if isinstance(node, ast.Call) and "_algebra_basis" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert callers == ["modules.py:_spectrum_of_component"], f"_algebra_basis called from {callers}"
+
+
+def test_one_candidate_loop_serves_both_characteristics():
+    # _generic_operator (over Q) and prime_profile (over F_p) hand their
+    # actions to modules._generator, which alone builds the candidates c and
+    # tests them; prime_profile takes no min poly of its own
+    functions = {fn.name: fn for fn in TREES["modules.py"].body if isinstance(fn, ast.FunctionDef)}
+
+    def calls(name):
+        return {
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+        }
+
+    candidate_work = {"chain", "count", "identity_matrix", "mat_mul", "min_poly_of_vector", "smith_normal_form_poly", "x_minus_matrix"}
+    for name in ("_generic_operator", "prime_profile"):
+        loops = [node.lineno for node in ast.walk(functions[name]) if isinstance(node, ast.While)]
+        assert "_generator" in calls(name), f"{name} does not call _generator"
+        assert not calls(name) & candidate_work and not loops, f"{name} tests candidates itself: {calls(name) & candidate_work}"
+    assert "min_poly_of_matrix" not in calls("prime_profile")
+    builders = [name for name in functions if calls(name) & {"min_poly_of_vector", "x_minus_matrix"}]
+    assert builders == ["_generator"], f"candidates built in {builders}"
 
 
 def test_one_smith_elimination_serves_every_ring():

@@ -651,9 +651,9 @@ def _count_calls(monkeypatch, *names):
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     for name in names:
@@ -664,18 +664,20 @@ def _count_calls(monkeypatch, *names):
 def test_cyclic_fiber_skips_the_joint_spectrum(monkeypatch):
     # CYCLE3 has min poly x^3 - 1 at every p, so (CYCLE3, CYCLE3^2) and
     # (I, CYCLE3), cyclic in the second action only, factor nothing; in
-    # M (+) M every min poly has degree at most 3 < 6
+    # M (+) M no action is cyclic, yet the first generates the algebra, so
+    # it factors nothing either.  No candidate generates the algebra of
+    # UNIPOTENTS, which falls back to joint_spectrum
     p = 1_000_003
     square = _mat_mul(CYCLE3, CYCLE3)
     identity = [[int(r == c) for c in range(3)] for r in range(3)]
     cyclic = [_ma(3, [CYCLE3, square]), _ma(3, [identity, CYCLE3])]
     doubled = _ma(6, [_block_diag(CYCLE3, CYCLE3), _block_diag(square, square)])
-    expected = [_joint_spectrum_profile(m, p) for m in cyclic + [doubled]]
+    expected = [_joint_spectrum_profile(m, p) for m in cyclic + [doubled, _ma(3, UNIPOTENTS)]]
     calls = _count_calls(monkeypatch, "joint_spectrum", "factor_mod_p")
     prime_profile.cache_clear()
-    assert [prime_profile(m, p) for m in cyclic] == expected[:2]
+    assert [prime_profile(m, p) for m in cyclic + [doubled]] == expected[:3]
     assert calls == {"joint_spectrum": 0, "factor_mod_p": 0}
-    assert prime_profile(doubled, p) == expected[2]
+    assert prime_profile(_ma(3, UNIPOTENTS), p) == expected[3]
     assert calls["joint_spectrum"] == 1
     # x^3 - 1 = (x - 1)(x^2 + x + 1) with p = 1 mod 3: three roots
     assert expected[0].entries == (SpectrumEntry(1, 1),) * 3
@@ -728,12 +730,13 @@ def test_cyclic_action_without_eigenvalue_1_takes_no_rank(monkeypatch, actions, 
 @pytest.mark.parametrize("path, spectra", [("chain", 0), ("joint spectrum", 1), ("presented", 0)])
 def test_counts_at_powers_of_p_reduce_the_fiber_once(monkeypatch, path, spectra):
     # the counts at p, p^2, p^3 and the split at p read one cached profile,
-    # equal to one built afresh; (CYCLE3, CYCLE3^2) is cyclic, M (+) M is not
+    # equal to one built afresh; (CYCLE3, CYCLE3^2) is cyclic, and no
+    # candidate generates the algebra of UNIPOTENTS
     p = 7
     square = _mat_mul(CYCLE3, CYCLE3)
     m = {
         "chain": _ma(3, [CYCLE3, square]),
-        "joint spectrum": _ma(6, [_block_diag(CYCLE3, CYCLE3), _block_diag(square, square)]),
+        "joint spectrum": _ma(3, UNIPOTENTS),
         # Z[x]/(x^2 - 1) (+) Z[x]: free rank 1
         "presented": Presented(gens=2, relations=(((-1, 0, 1),), ((0,),))),
     }[path]
@@ -755,6 +758,10 @@ PAIR_B = _block_diag([[1, 1], [4, 5]], [[-5, 1], [-6, 1]])
 # E_12 and E_13 unipotents: the common fixed space has dimension 1, the
 # trivial top dimension 2
 UNIPOTENTS = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 0], [0, 0, 1]]]
+# I + x and I + y on Z[x, y]/(x^2, y^2), basis 1, x, y, xy: c = I + x + y
+# has (c - I)^2 = 2xy and so a min poly of degree 3, the rank of I and the
+# actions, yet it does not generate the algebra, of dimension 4
+LOCAL_XY = [[[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]]]
 I2 = [[1, 0], [0, 1]]
 
 
@@ -780,11 +787,11 @@ def _unimodular_pair(rng, k, ops):
     return U, V
 
 
-def _commuting_pair(rng, k=4):
-    """Two commuting k x k integer matrices, a_i I + b_i M on each diagonal
-    block M of size 1 or 2, conjugated by a seeded unimodular matrix.  Now
-    and then a block is repeated with its (a_i, b_i), which gives a simple
-    quotient of multiplicity 2 or more."""
+def _commuting_pair(rng, k=4, ell=2):
+    """Two (or ell) commuting k x k integer matrices, a_i I + b_i M on each
+    diagonal block M of size 1 or 2, conjugated by a seeded unimodular
+    matrix.  Now and then a block is repeated with its (a_i, b_i), which
+    gives a simple quotient of multiplicity 2 or more."""
     blocks = []
     while sum(len(M) for M, _ in blocks) < k:
         size = rng.choice([1, 2]) if k - sum(len(M) for M, _ in blocks) >= 2 else 1
@@ -792,8 +799,8 @@ def _commuting_pair(rng, k=4):
             blocks.append(blocks[-1])
         else:
             M = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
-            blocks.append((M, [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]))
-    pair = [[[0] * k for _ in range(k)] for _ in range(2)]
+            blocks.append((M, [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(ell)]))
+    pair = [[[0] * k for _ in range(k)] for _ in range(ell)]
     offset = 0
     for M, coefficients in blocks:
         for P, (a, b) in zip(pair, coefficients):
@@ -922,6 +929,109 @@ def test_invariants_double_on_a_doubled_module():
         k = len(actions[0])
         d, d_nt, t = _invariants(_ma(k, actions))
         assert _invariants(_ma(2 * k, [_block_diag(M, M) for M in actions])) == (2 * d, 2 * d_nt, 2 * t)
+
+
+# -- one generator rule at every prime ----------------------------------------
+
+BIG_PRIMES = [q for q in range(2 ** 61 - 1, 2 ** 61 - 400, -2) if is_prime(q)][:2]
+
+
+def test_generated_fibers_match_the_joint_spectrum(monkeypatch):
+    # 400 seeded modules on Z^2 and Z^3 with two or three actions, plus
+    # UNIPOTENTS, LOCAL_XY and the doubled pairs, at every p <= 200 and two
+    # primes near 2^61: a fiber that a candidate generates is read in one
+    # variable, any other falls back to joint_spectrum, and both give its
+    # profile.  No candidate generates the algebra of UNIPOTENTS or of
+    # LOCAL_XY at any prime, and fewer than one pair in 40 falls back
+    primes = [p for p in range(2, 201) if is_prime(p)] + BIG_PRIMES
+    rng = random.Random(28)
+    corpus = [_ma(2 + i % 2, _commuting_pair(rng, 2 + i % 2, 2 + i // 2 % 2)) for i in range(400)]
+    corpus += [_ma(3, UNIPOTENTS), _ma(4, LOCAL_XY), _ma(4, [PAIR_A, PAIR_A]), _ma(4, [PAIR_B, PAIR_B])]
+    calls = _count_calls(monkeypatch, "joint_spectrum")
+    prime_profile.cache_clear()
+    fallbacks = []
+    for m in corpus:
+        for p in primes:
+            before = calls["joint_spectrum"]
+            assert prime_profile(m, p) == _joint_spectrum_profile(m, p), (m, p)
+            if calls["joint_spectrum"] > before:
+                fallbacks.append((m, p))
+    for m in corpus[400:402]:
+        assert [q for n, q in fallbacks if n == m] == primes
+    assert len(corpus) * len(primes) > 40 * len(fallbacks) > 0
+
+
+def _diagonal(*entries):
+    return [[x if r == c else 0 for c in range(len(entries))] for r, x in enumerate(entries)]
+
+
+@pytest.mark.parametrize("p", [5, 7, BIG_PRIMES[0]])
+@pytest.mark.parametrize("actions, ranks", [
+    # neither action generates, c = A_1 + A_2 = diag(2, 3, 4) does, and
+    # sigma = 2 is an eigenvalue of c: the rank runs, and t_p = 1
+    ([_diagonal(1, 1, 2), _diagonal(1, 2, 2)], 1),
+    # c = diag(4, 5, 6) has mu_c(2) = -24, a unit at these primes: t_p = 0
+    ([_diagonal(2, 2, 3), _diagonal(2, 3, 3)], 0),
+])
+def test_moment_curve_generator_takes_the_rank_iff_mu_vanishes_at_sigma(monkeypatch, actions, ranks, p):
+    m = _ma(3, actions)
+    fib, F = fiber_mod_p(m, p), PrimeField(p)
+    b, sigma = modules._generator(F, fib.actions, fib.dim)
+    assert (sigma, len(b[-1]) - 1) == (2, 3)  # lambda = (1, 1), j = 1
+    expected = _joint_spectrum_profile(m, p)
+    widths = []
+
+    def counted_rank(F, rows, ncols=None):
+        widths.append(ncols)
+        return rank(F, rows, ncols)
+
+    monkeypatch.setattr(modules, "rank", counted_rank)
+    prime_profile.cache_clear()
+    assert prime_profile(m, p) == expected
+    # the images of every A_i - I have 3 columns, the flattened powers 9
+    assert widths.count(3) == ranks == (peval(F, b[-1], sigma) == 0)
+    assert expected.trivial_rank == ranks
+
+
+def test_companion_pairs_take_no_smith_form_and_no_rank(monkeypatch):
+    # e_1 is a cyclic vector of a companion matrix A, so (A, A^2 + 2A + I)
+    # is read off one Krylov sequence, and f(1) != 0 mod p leaves t_p = 0
+    # with no rank taken
+    rng = random.Random(29)
+    cases = []
+    while len(cases) < 8:
+        f = [rng.randint(-3, 3) for _ in range(rng.randint(2, 5))] + [1]
+        if sum(f):
+            A = _companion(f)
+            cases.append(_ma(len(A), [A, _polynomial_in(A, [1, 2, 1])]))
+    expected = {(m, p): _joint_spectrum_profile(m, p) for m in cases for p in BIG_PRIMES}
+    calls = _count_calls(monkeypatch, "smith_normal_form_poly", "rank", "joint_spectrum")
+    prime_profile.cache_clear()
+    assert {key: prime_profile(*key) for key in expected} == expected
+    assert calls == {"smith_normal_form_poly": 0, "rank": 0, "joint_spectrum": 0}
+
+
+def test_doubled_three_cycle_pair_takes_no_min_poly_per_prime(monkeypatch):
+    # no action of (P (+) P, P^2 (+) P^2), P the 3-cycle, is cyclic on Z^6,
+    # yet P (+) P generates the algebra at every prime: the table to 3000
+    # takes no min poly over F_p and about 0.25 s on a shared 2-vCPU VM
+    # (1.3 s when each action's min poly was taken and joint_spectrum ran)
+    fields = []
+    min_poly = modules.min_poly_of_matrix
+
+    def counted_min_poly(F, A):
+        fields.append(F)
+        return min_poly(F, A)
+
+    monkeypatch.setattr(modules, "min_poly_of_matrix", counted_min_poly)
+    square = _mat_mul(CYCLE3, CYCLE3)
+    m = _ma(6, [_block_diag(CYCLE3, CYCLE3), _block_diag(square, square)])
+    prime_profile.cache_clear()
+    start = time.perf_counter()
+    report = growth_table(m, 3000)
+    assert time.perf_counter() - start < 1.0
+    assert not any(isinstance(F, PrimeField) for F in fields)
+    assert report.rows == growth_table(_ma(6, [_block_diag(CYCLE3, CYCLE3)]), 3000).rows
 
 
 # -- the determinant route ------------------------------------------------------
