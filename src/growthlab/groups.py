@@ -7,9 +7,11 @@ the nilpotent groups G_f defined by commutator relations [x_i, x_j] = f(i,j)
 in a central free abelian part.
 
 A maximal subgroup either contains [G, G], a hyperplane of G/G^p[G,G] whose
-dimension u_p is read off one integer Smith form of G/[G, G], or is one of
-the |S| complements over a maximal submodule of N with nontrivial simple
-quotient S, counted by the module engine.
+dimension u_p is read off one fraction-free elimination of G/[G, G]'s
+relations (their rank over Q and a nonzero minor D; a rank over F_p only at
+the primes dividing D), or is one of the |S| complements over a maximal
+submodule of N with nontrivial simple quotient S, counted by the module
+engine.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 
 from ._record import Record
 from .arith import prime_power_decompose, primes_up_to
-from .linalg import min_poly_of_matrix, smith_normal_form_int
+from .linalg import _bareiss, min_poly_of_matrix, rank
 from .modules import (
     MatrixAction,
     GrowthType,
@@ -28,7 +30,7 @@ from .modules import (
     module_invariants,
     prime_profile,
 )
-from .poly import QQ, pdeg, pdivmod, pmod
+from .poly import QQ, PrimeField, pdeg, pdivmod, pmod
 
 # Largest ell accepted by NilpotentGf: its center has C(ell, 2) generators,
 # and counts at p are powers p^(ell + C(ell, 2) - rank).
@@ -224,9 +226,10 @@ class GrowthReport(Record):
 
 
 @functools.lru_cache(maxsize=None)
-def _abelianization(g) -> tuple[int, tuple[int, ...]]:
-    """(gens, d): G/[G, G] on gens generators, d the nonzero invariant
-    factors of its relations.  For N x| A: N's generators, then A's, modulo
+def _abelianization(g) -> tuple[int, tuple[tuple[int, ...], ...], int, int]:
+    """(gens, relations, r, D): G/[G, G] is Z^gens modulo the rows of
+    `relations`, r is their rank over Q and D != 0 an r x r minor of them,
+    both from `_bareiss`.  For N x| A: N's generators, then A's, modulo
     every column of a_i - I, t_j e_(k+j) and o_j times A's torsion
     generators.  For G_f: x_1..x_ell and the center, modulo the f vectors."""
     if isinstance(g, NilpotentGf):
@@ -242,13 +245,21 @@ def _abelianization(g) -> tuple[int, tuple[int, ...]]:
         relations += [[o * (c == i) for c in range(gens)] for i, o in orders]
     else:
         raise ValueError(f"unsupported descriptor {type(g).__name__}")
-    return gens, smith_normal_form_int(relations, ncols=gens).diagonal
+    r, D = _bareiss([list(row) for row in relations], gens)
+    return gens, tuple(map(tuple, relations)), r, D
 
 
+# a G_f row at p reads u_p twice, in its profile and in its count
+@functools.lru_cache(maxsize=256)
 def _hyperplane_rank(g, p: int) -> int:
-    """u_p = dim_Fp G/G^p[G,G]: gens less the invariant factors prime to p."""
-    gens, d = _abelianization(g)
-    return gens - sum(1 for x in d if x % p)
+    """u_p = dim_Fp G/G^p[G,G]: gens less the rank of the relations mod p.
+    A minor mod p is the integer minor reduced, so that rank is at most r,
+    the rank over Q, and it is r when p does not divide the r x r minor D.
+    Only at a prime dividing D is the rank over F_p taken."""
+    gens, relations, r, D = _abelianization(g)
+    if D % p:
+        return gens - r
+    return gens - rank(PrimeField(p), [[x % p for x in row] for row in relations], gens)
 
 
 def _profile(g, p: int) -> PrimeProfile:
@@ -284,7 +295,8 @@ def max_subgroups(g: GroupDescriptor, n: int) -> int:
 
 def mdeg(g: GroupDescriptor) -> MdegValue:
     """Degree of polynomial growth of n -> max_subgroups(g, n):
-    max(u_Q - 1, d_nt), u_Q the rank of G/[G, G].
+    max(u_Q - 1, d_nt), u_Q = gens - r the rank of G/[G, G], r the rank of
+    its relations over Q.
 
     At a generic p there are about p^(u_Q - 1) hyperplanes, and a nontrivial
     simple quotient of N of multiplicity s gives q^s subgroups at a positive
@@ -296,9 +308,9 @@ def mdeg(g: GroupDescriptor) -> MdegValue:
     eigenvalue, lead the chain, so if there are any, all d are divisible by
     x - sigma and d = t; otherwise d = d_nt.  For ZkByZ it gives d.
     """
-    gens, d = _abelianization(g)
+    gens, _, r, _ = _abelianization(g)
     d_nt = module_invariants(g.module).d_nt if isinstance(g, SemidirectFgAbelian) else 0
-    value = max(gens - len(d) - 1, d_nt)
+    value = max(gens - r - 1, d_nt)
     return MdegValue(value=value, provenance="exact-theorem", exactness="exact")
 
 

@@ -1,7 +1,9 @@
 """Exact linear algebra: Gaussian elimination over fields, minimal
 polynomials, Smith normal forms over Z, F_p[x] and Q[x], all three from one
-elimination, `_smith`, given each ring's operations, and the determinant
-over Z[x] as one integer determinant, by the fraction-free `_bareiss`.
+elimination, `_smith`, given each ring's operations, and one fraction-free
+elimination over Z, `_bareiss`, which gives an integer matrix's rank over Q
+and a nonzero minor of that size: the determinant over Z[x] is one such
+integer determinant, and the groups' G/[G, G] is read off another.
 
 Matrices are lists of rows.  Vectors are column vectors: A maps x to A@x,
 so `kernel_basis` solves A x = 0.
@@ -298,50 +300,62 @@ def smith_normal_form_poly(F, rows, ncols=None) -> SmithResult:
     return SmithResult(diagonal=tuple(tuple(d) for d in diag), rank=len(diag))
 
 
-# -- determinant --------------------------------------------------------------
+# -- fraction-free elimination over Z: rank, minor, determinant ---------------
 
 
-def _bareiss(A, size, sub, mul, exquo, neg):
-    """Determinant of the square matrix A (rows, changed in place) over an
-    integral domain whose only falsy element is 0, given by its operations:
-    size(a) of a != 0 to choose pivots by, sub, mul, neg, and exquo(a, b) =
-    a / b for b dividing a.
+def _bareiss(A, ncols):
+    """(r, D) for the integer matrix A (rows, changed in place) with ncols
+    columns: r its rank over Q and D != 0 its last pivot, the r x r minor
+    of A on the pivot rows and columns times the sign of the row swaps, so
+    D = det A when A is square and r = ncols (D = 1 when r = 0).
 
-    Fraction-free elimination (Bareiss 1968): step k takes the pivot
-    p_k = A[k][k], after a row swap if need be, and sets
-    A[i][j] = (p_k A[i][j] - A[i][k] A[k][j]) / p_(k-1) for i, j > k, with
-    p_(-1) = 1.  By Sylvester's identity the new entry is the minor on rows
-    0..k, i and columns 0..k, j, so every division is exact, and the last
-    pivot is det A up to the sign of the swaps.  A row whose entry in the
-    pivot column is 0 would only be scaled by p_k / p_(k-1), so it is left
-    alone, and `last` keeps the pivot of its last update (None for 1).
-    Over the steps since that update, p_s, the scalings telescope to
-    p_k / p_s: so the row is next eliminated with p_s as its divisor, and
-    brought up to date, when it becomes the pivot row, by one product with
-    p_(k-1) and one division by p_s.
+    Fraction-free elimination (Bareiss 1968) by columns: the k-th pivot
+    p_k = A[k][c_k], after a row swap if need be, sets
+    A[i][j] = (p_k A[i][j] - A[i][c_k] A[k][j]) / p_(k-1) for i > k and
+    j > c_k, with p_(-1) = 1.  By Sylvester's identity the new entry is the
+    minor on rows 0..k, i and columns c_0..c_k, j, so every division is
+    exact and Hadamard's inequality bounds every entry.  A column j with no
+    nonzero entry in rows k.. is skipped: each minor on rows 0..k-1, i and
+    columns c_0..c_(k-1), j is then 0 (for i < k a row repeats), and by
+    the Schur complement of the nonzero minor B on rows 0..k-1 and columns
+    c_0..c_(k-1), A[i][j] = A[i][c_0..c_(k-1)] B^(-1) A[0..k-1][j] for
+    every i, so column j is a combination over Q of the pivot columns
+    before it.  It is never read again, and every other column is updated
+    as it would be with j deleted, so the entries stay the minors above.
+    The pivot columns are independent, as D != 0: r is the rank.
+
+    A row whose entry in the pivot column is 0 would only be scaled by
+    p_k / p_(k-1), so it is left alone, and `last` keeps the pivot of its
+    last update (None for 1).  Over the steps since that update, p_s, the
+    scalings telescope to p_k / p_s: so the row is next eliminated with
+    p_s as its divisor, and brought up to date, when it becomes the pivot
+    row, by one product with p_(k-1) and one division by p_s.  Until then
+    each entry is its minor times p_s / p_(k-1), zero exactly when the
+    minor is, so the test for a skipped column reads it as it stands.
     """
-    n, last, prev, odd = len(A), [None] * len(A), None, False
-    for k in range(n):
-        below = [(size(A[i][k]), i) for i in range(k, n) if A[i][k]]
+    m, last, prev, odd, k = len(A), [None] * len(A), None, False, 0
+    for c in range(ncols):
+        below = [(abs(A[i][c]), i) for i in range(k, m) if A[i][c]]
         if not below:
-            return A[k][k]
+            continue
         i = min(below)[1]
         if i != k:
             A[k], A[i], last[k], last[i], odd = A[i], A[k], last[i], last[k], not odd
         row = A[k]
         if last[k] != prev:
-            row[k:] = [exquo(mul(a, prev), last[k]) if last[k] else mul(a, prev) for a in row[k:]]
-        p = row[k]
-        for i in range(k + 1, n):
-            other, a = A[i], A[i][k]
+            row[c:] = [a * prev // last[k] if last[k] else a * prev for a in row[c:]]
+        p = row[c]
+        for i in range(k + 1, m):
+            other, a, s = A[i], A[i][c], last[i]
             if a:
-                for j in range(k + 1, n):
+                for j in range(c + 1, ncols):
                     if other[j] or row[j]:
-                        x = sub(mul(p, other[j]), mul(a, row[j]))
-                        other[j] = exquo(x, last[i]) if last[i] else x
+                        x = p * other[j] - a * row[j]
+                        other[j] = x // s if s else x
                 last[i] = p
-        prev = p
-    return neg(prev) if odd else prev
+        prev, k = p, k + 1
+    D = prev or 1
+    return k, -D if odd else D
 
 
 def det_int_poly(rows):
@@ -354,7 +368,8 @@ def det_int_poly(rows):
     S = sqrt(prod_i sum_j ||R_ij||_1^2) < 2^(b-2), b = bitlen(isqrt(S^2) + 1) + 2."""
     b = (math.isqrt(math.prod(sum(sum(map(abs, e)) ** 2 for e in row) for row in rows)) + 1).bit_length() + 2
     A = [[kronecker_pack(e, b) for e in row] for row in rows]
-    return kronecker_unpack(_bareiss(A, abs, operator.sub, operator.mul, operator.floordiv, operator.neg), b)
+    r, D = _bareiss(A, len(A))
+    return kronecker_unpack(D if r == len(A) else 0, b)
 
 
 def x_minus_matrix(F, A):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -165,16 +166,79 @@ def _random_semidirect(rng):
     return SemidirectFgAbelian(_ma(k, [P, _mat_mul(P, P)]), acting_rank=0, acting_torsion=(m, m))
 
 
+# two 61-bit primes: 2^61 - 1 and the least prime above 2^60
+BIG_PRIMES = (2 ** 61 - 1, 2 ** 60 + 33)
+
+
+def _rank_deficient_semidirect(rng):
+    """N x| Z^2 whose relations repeat: a free block B = diag(I_j, C), C
+    unimodular, acting as (B, B) or as (I, B), so every column of the
+    identity block of a_i - I is 0 and a_1 - I, a_2 - I share their rows."""
+    j, c = rng.randint(1, 2), rng.randint(0, 2)
+    C = _random_unimodular(rng, c) if c >= 2 else [[rng.choice([-1, 1])] for _ in range(c)]
+    k = j + c
+    B = [[int(r == col) if r < j or col < j else C[r - j][col - j] for col in range(k)] for r in range(k)]
+    first = rng.choice([B, [[int(r == col) for col in range(k)] for r in range(k)]])
+    return SemidirectFgAbelian(_ma(k, [first, B]), acting_rank=2, acting_torsion=())
+
+
+def _wreaths_and_rank_deficient():
+    """Z wr Z/m for m = 2..32 and 40 rank-deficient split extensions."""
+    rng = random.Random(2929)
+    return [WreathCyclic(m) for m in range(2, 33)] + [_rank_deficient_semidirect(rng) for _ in range(40)]
+
+
 def test_hyperplane_rank_is_that_of_the_profile():
-    # u_p from the integer Smith form of G/[G, G] against the F_p path:
-    # dim_Fp A/pA plus t_p, the trivial rank of the fiber
+    # u_p from G/[G, G]'s relations against the F_p path: dim_Fp A/pA plus
+    # t_p, the trivial rank of the fiber
     rng = random.Random(1313)
-    for _ in range(100):
-        g = _random_semidirect(rng)
+    for g in [_random_semidirect(rng) for _ in range(100)] + _wreaths_and_rank_deficient():
         for p in (2, 3, 5, 7, 1000003, 2 ** 31 - 1):
             acting = g.acting_rank + sum(1 for o in g.acting_torsion if o % p == 0)
             expected = acting + modules.prime_profile(g.module, p).trivial_rank
             assert groups._hyperplane_rank(g, p) == expected, (g, p)
+
+
+def _random_nilpotent(rng):
+    """A seeded G_f, ell = 2..5, on a random subset of the pairs, entries
+    from {0, +-1, 2, +-3, 6, 10}, with one f vector a combination of two
+    others (rank-deficient relations) or scaled by a 61-bit prime."""
+    ell = rng.randint(2, 5)
+    k = ell * (ell - 1) // 2
+    pairs = [(i, j) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+    f = {pair: [rng.choice([0, 0, 1, -1, 2, 3, -3, 6, 10]) for _ in range(k)]
+         for pair in rng.sample(pairs, rng.randint(0, len(pairs)))}
+    keys = list(f)
+    if len(keys) >= 3 and rng.random() < 0.4:
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        f[keys[0]] = [a * x + b * y for x, y in zip(f[keys[1]], f[keys[2]])]
+    elif keys and rng.random() < 0.5:
+        q = rng.choice(BIG_PRIMES)
+        f[keys[0]] = [q * x for x in f[keys[0]]]
+    return NilpotentGf(ell=ell, f_vectors=f)
+
+
+def test_hyperplane_ranks_match_the_integer_smith_form():
+    # u_p = gens less the invariant factors prime to p and u_Q = gens less
+    # all of them, read off an integer Smith form of the same relations,
+    # against the rank over Q and the minor D of one fraction-free elimination
+    rng = random.Random(2930)
+    cases = ([_random_semidirect(rng) for _ in range(300)] + _wreaths_and_rank_deficient()
+             + [_random_nilpotent(rng) for _ in range(100)])
+    primes = primes_up_to(200) + list(BIG_PRIMES)
+    seen = {"p divides D": 0, "big p divides D": 0, "rank deficient": 0}
+    for g in cases:
+        gens, relations, r, D = groups._abelianization(g)
+        d = linalg.smith_normal_form_int(relations, ncols=gens).diagonal
+        assert r == len(d), g
+        if isinstance(g, NilpotentGf):
+            assert mdeg(g).value == gens - len(d) - 1, g
+        seen["rank deficient"] += r < min(len(relations), gens)
+        for p in primes:
+            assert groups._hyperplane_rank(g, p) == gens - sum(1 for x in d if x % p), (g, p)
+            seen["p divides D"] += D % p == 0
+            seen["big p divides D"] += p in BIG_PRIMES and D % p == 0
+    assert len(cases) >= 400 and min(seen.values()) >= 10, seen
 
 
 def test_nilpotent_hyperplanes_by_brute_force():
@@ -195,24 +259,54 @@ def test_nilpotent_hyperplanes_by_brute_force():
         assert 1 + (p - 1) * max_subgroups(g, p) == p ** ell * kernel, (f, p)
 
 
-def test_nilpotent_table_takes_one_integer_smith_form(monkeypatch):
-    calls = []
-    smith = groups.smith_normal_form_int
+def test_nilpotent_table_takes_one_fraction_free_elimination(monkeypatch):
+    # G/[G, G] is read off one _bareiss; an F_p rank is taken only at the
+    # primes that divide its minor D, once each, and no Smith form at all
+    eliminations, ranks = [], []
+    bareiss, field_rank = groups._bareiss, groups.rank
 
-    def counted(rows, ncols=None):
-        calls.append(len(rows))
-        return smith(rows, ncols)
+    def counted_bareiss(A, ncols):
+        eliminations.append(bareiss(A, ncols))
+        return eliminations[-1]
 
-    def refused(*args):
-        raise AssertionError("an F_p rank was taken")
+    def counted_rank(F, rows, ncols=None):
+        ranks.append(F.p)
+        return field_rank(F, rows, ncols)
 
-    monkeypatch.setattr(groups, "smith_normal_form_int", counted)
+    def refused(*args, **kwargs):
+        raise AssertionError("refused work was done")
+
+    assert not hasattr(groups, "smith_normal_form_int")
+    monkeypatch.setattr(groups, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(groups, "rank", counted_rank)
     for namespace in (linalg, modules):
         monkeypatch.setattr(namespace, "rank", refused)
+        monkeypatch.setattr(namespace, "smith_normal_form_int", refused)
     groups._abelianization.cache_clear()
+    groups._hyperplane_rank.cache_clear()
     g = cli.parse_spec({"type": "nilpotent_gf", "ell": 4, "f": {"1,2": [1, 2, 0, 0, 3, 0], "2,3": [0, 0, 4, 0, 0, 6]}})
     rep = growth_table(g, 200)
-    assert calls == [2] and rep.mdeg.value == 7
+    assert len(eliminations) == 1 and abs(eliminations[0][1]) == 4
+    assert ranks == [p for p in primes_up_to(200) if eliminations[0][1] % p == 0] == [2]
+    assert rep.mdeg.value == 7
+
+
+def test_dense_nilpotent_table_meets_its_budget():
+    # every pair given, entries -3..3 from random.Random(ell): G/[G, G] has
+    # 105 relations in 120 generators at ell = 15.  The integer Smith form
+    # took 1.2-1.7 s and the elimination 0.18-0.37 s (Python 3.11, shared
+    # 2-vCPU VM), so the budget is about three times the latter
+    ell = 15
+    rng = random.Random(ell)
+    k = ell * (ell - 1) // 2
+    f = {f"{i},{j}": [rng.randint(-3, 3) for _ in range(k)] for i in range(1, ell + 1) for j in range(i + 1, ell + 1)}
+    g = cli.parse_spec({"type": "nilpotent_gf", "ell": ell, "f": f})
+    groups._abelianization.cache_clear()
+    groups._hyperplane_rank.cache_clear()
+    start = time.perf_counter()
+    rep = growth_table(g, 200)
+    assert time.perf_counter() - start < 1.0
+    assert rep.mdeg.value == 14
 
 
 def test_growth_table():

@@ -3,7 +3,8 @@ private top-level function that nothing in the package calls, every
 function the benchmark hooks into still exists, no reader expands a
 group descriptor, only fiber_mod_p builds a FiberModule, only the
 Frobenius certificate closes an algebra basis, one candidate loop serves
-both characteristics, one elimination serves every Smith form, and the CLI
+both characteristics, one elimination serves every Smith form, one
+fraction-free elimination serves the determinant and G/[G, G], and the CLI
 imports no module it does not need at start-up."""
 
 import ast
@@ -169,6 +170,22 @@ def test_one_fraction_free_elimination_serves_the_determinant():
     loops = [node.lineno for node in nodes if isinstance(node, (ast.For, ast.While))]
     calls = {getattr(node.func, "id", None) for node in nodes if isinstance(node, ast.Call)}
     assert not loops and "_bareiss" in calls, f"det_int_poly eliminates by itself: loops at {loops}"
+
+
+def test_one_fraction_free_elimination_serves_the_abelianization():
+    # G/[G, G] is read off linalg._bareiss over Z, whose only parameters are
+    # the matrix and its width, and groups takes no integer Smith form
+    linalg_functions = {fn.name: fn for fn in TREES["linalg.py"].body if isinstance(fn, ast.FunctionDef)}
+    args = linalg_functions["_bareiss"].args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["A", "ncols"]
+    assert not (args.vararg or args.kwarg or args.kwonlyargs or args.defaults)
+    groups_functions = {fn.name: fn for fn in ast.walk(TREES["groups.py"]) if isinstance(fn, ast.FunctionDef)}
+    calls = {getattr(node.func, "id", None) for node in ast.walk(groups_functions["_abelianization"]) if isinstance(node, ast.Call)}
+    assert "_bareiss" in calls, "_abelianization does not call _bareiss"
+    named = {node.id for node in ast.walk(TREES["groups.py"]) if isinstance(node, ast.Name)}
+    named |= {alias.name for node in ast.walk(TREES["groups.py"]) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named |= {node.attr for node in ast.walk(TREES["groups.py"]) if isinstance(node, ast.Attribute)}
+    assert "smith_normal_form_int" not in named, "groups takes an integer Smith form"
 
 
 def test_both_fields_offer_one_protocol():

@@ -3,12 +3,13 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthlab.linalg import (
+    _bareiss,
     det_int_poly,
     identity_matrix,
     kernel_basis,
@@ -248,6 +249,55 @@ def test_packed_determinant_meets_its_coefficient_bound():
         seen["constant D"] += len(D) == 1
         seen["negative lc"] += bool(D) and D[-1] < 0
     assert min(seen.values()) >= 20, seen
+
+
+def _leibniz(M):
+    """det M by the permutation expansion, 1 for the 0 x 0 matrix."""
+    total = 0
+    for perm in permutations(range(len(M))):
+        inversions = sum(1 for i, j in combinations(range(len(M)), 2) if perm[i] > perm[j])
+        total += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(len(M)))
+    return total
+
+
+def test_bareiss_gives_the_rank_and_a_maximal_minor():
+    # rectangular integer matrices with zero rows, zero columns, dependent
+    # rows and entries past 2^64: r is the rank over Q, and D a nonzero
+    # r x r minor (det A itself when A is square of full rank), found among
+    # all r x r minors by brute force
+    rng = random.Random(29)
+    seen = dict.fromkeys(["zero row", "zero column", "dependent row", "past 2^64", "rank deficient", "full square"], 0)
+    for t in range(600):
+        m = rng.randint(0, 5)
+        n = m if t % 3 == 0 and m else rng.randint(1, 6)
+        high = rng.choice((3, 10 ** 6, 2 ** 70))
+        A = [[rng.randint(-high, high) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(m)]
+        if m and rng.random() < 0.3:
+            A[rng.randrange(m)] = [0] * n
+            seen["zero row"] += 1
+        if rng.random() < 0.3:
+            c = rng.randrange(n)
+            for row in A:
+                row[c] = 0
+            seen["zero column"] += 1
+        if m >= 2 and rng.random() < 0.4:
+            a, b, i = rng.randint(-3, 3), rng.randint(-3, 3), rng.randrange(m)
+            A[i] = [a * x + b * y for x, y in zip(A[i - 1], A[i - 2])]
+            seen["dependent row"] += 1
+        seen["past 2^64"] += any(abs(x) >= 2 ** 64 for row in A for x in row)
+        r, D = _bareiss([list(row) for row in A], n)
+        assert r == rank(QQ, A, n), A
+        seen["rank deficient"] += r < min(m, n)
+        assert D != 0, A
+        minors = {
+            abs(_leibniz([[A[i][j] for j in cols] for i in rows]))
+            for rows in combinations(range(m), r) for cols in combinations(range(n), r)
+        }
+        assert abs(D) in minors, (A, D)
+        if m == n == r:
+            assert D == _leibniz(A), A
+            seen["full square"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_det_int_poly_of_a_diagonal_scales_no_row():
